@@ -119,6 +119,15 @@ class Manager {
     size_t evictions = 0;   // valid entries displaced by set conflicts
     size_t gc_kept = 0;     // entries preserved across a GC sweep
     size_t gc_dropped = 0;  // entries invalidated because a GC freed a node
+
+    CacheStats& operator+=(const CacheStats& other) {
+      hits += other.hits;
+      misses += other.misses;
+      evictions += other.evictions;
+      gc_kept += other.gc_kept;
+      gc_dropped += other.gc_dropped;
+      return *this;
+    }
   };
 
   explicit Manager(uint32_t num_vars) : Manager(num_vars, Options{}) {}

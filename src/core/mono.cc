@@ -82,16 +82,7 @@ VerifyResult MonoVerifier::Verify(const config::ParsedNetwork& network,
     // ------------------------------------------------------------ queries
     for (const dp::Query& query : queries) {
       util::Stopwatch query_watch;
-      forwarding.ResetQueryState();
-      forwarding.set_record_paths(query.record_paths);
-      for (size_t i = 0; i < query.transits.size(); ++i) {
-        forwarding.SetWaypointBit(query.transits[i],
-                                  static_cast<uint32_t>(i));
-      }
-      bdd::Bdd header_space = query.header_space.ToBdd(codec);
-      for (topo::NodeId src : query.sources) {
-        forwarding.Inject(src, header_space);
-      }
+      dp::PrepareQuery(forwarding, query);
       forwarding.Run(nullptr);  // every node is local
       result.queries.push_back(dp::EvaluateQuery(
           query, codec, forwarding.finals(), network));

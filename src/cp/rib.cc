@@ -200,24 +200,24 @@ void Rib::Clear() {
 
 // ------------------------------------------------------------- RibStore
 
-RibStore::RibStore() {
+RibStore::RibStore() = default;
+
+RibStore::RibStore(std::shared_ptr<const RibStore> base,
+                   std::unordered_set<util::IpPrefix> masked)
+    : base_(std::move(base)), masked_(std::move(masked)) {}
+
+RibStore::~RibStore() {
+  if (dir_.empty()) return;
+  std::error_code ec;
+  std::filesystem::remove_all(dir_, ec);
+}
+
+void RibStore::CreateDir() {
   static std::atomic<uint64_t> counter{0};
   dir_ = std::filesystem::temp_directory_path() /
          ("s2-ribstore-" + std::to_string(::getpid()) + "-" +
           std::to_string(counter.fetch_add(1)));
   std::filesystem::create_directories(dir_);
-}
-
-RibStore::RibStore(std::shared_ptr<const RibStore> base,
-                   std::unordered_set<util::IpPrefix> masked)
-    : RibStore() {
-  base_ = std::move(base);
-  masked_ = std::move(masked);
-}
-
-RibStore::~RibStore() {
-  std::error_code ec;
-  std::filesystem::remove_all(dir_, ec);
 }
 
 void RibStore::Write(
@@ -233,6 +233,8 @@ void RibStore::Write(
   std::vector<uint8_t> bytes;
   SerializeRoutes(updates, bytes, stats_pool);
   if (!in_memory_) {
+    // Workers spill concurrently; the first on-disk write creates the dir.
+    std::call_once(dir_once_, [this] { CreateDir(); });
     auto path = dir_ / (std::to_string(shard) + "-" + std::to_string(node) +
                         ".rib");
     std::ofstream out(path, std::ios::binary | std::ios::trunc);

@@ -112,10 +112,10 @@ class Rib {
 // Persistent storage for converged shard results (paper §3.1: "when this
 // round ends, we write it to persistent storage"). One file per
 // (shard, node) under a unique temp directory; files are real so the spill
-// path costs real I/O.
+// path costs real I/O. The directory is created by the first on-disk
+// Write, so a store with in-memory spills never touches the file system.
 class RibStore {
  public:
-  // Creates a fresh directory under the system temp dir.
   RibStore();
 
   // An overlay store: ReadAll merges `base`'s spills — skipping prefixes
@@ -212,7 +212,11 @@ class RibStore {
                    AttrPool& pool,
                    std::map<util::IpPrefix, std::vector<Route>>& out) const;
 
+  void CreateDir();
+
+  // Empty until the first on-disk Write creates it (under dir_once_).
   std::filesystem::path dir_;
+  std::once_flag dir_once_;
   mutable std::mutex mutex_;  // guards the counters and entries_
   size_t bytes_written_ = 0;
   size_t routes_written_ = 0;

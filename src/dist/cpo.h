@@ -32,7 +32,7 @@ struct RoundMetrics {
   size_t comm_bytes = 0;       // total sidecar traffic
   size_t comm_messages = 0;
   // BDD op-cache behavior during the phase, summed across the managers
-  // involved (per-worker lanes for distributed phases, the single manager
+  // involved (per-worker managers for distributed phases, the single manager
   // for mono runs). Deltas, not lifetime totals.
   size_t bdd_cache_hits = 0;
   size_t bdd_cache_misses = 0;

@@ -39,15 +39,16 @@ class Dpo {
     size_t gather_bytes = 0;
   };
 
+  // The live sidecar path: drives every worker's own forwarding engine
+  // through the fabric in barrier rounds.
   QueryRun RunQuery(const dp::Query& query,
                     const dp::PacketCodec& gather_codec);
 
   // Query-level parallelism: independent queries run concurrently, each on
-  // a private set of per-worker BDD domains rebuilt from the workers'
-  // canonical predicate bytes (SnapshotPredicates) — managers stay
-  // shared-nothing, per-query and per-worker. Each query replicates the
-  // sequential round structure over a query-private exchange, so its
-  // finals match RunQuery's byte for byte (pinned by the differential
+  // its own QueryExecutor (dist/query_executor.h) over every worker —
+  // per-worker BDD domains rebuilt from the workers' canonical predicate
+  // bytes (SnapshotPredicates), shared-nothing, per-query and per-worker.
+  // Its finals match RunQuery's byte for byte (pinned by the differential
   // tests). `lanes` bounds the modeled concurrency: per-query busy is
   // measured as thread-CPU time and the aggregate's modeled_seconds is the
   // LPT makespan of those busies over `lanes` slots (DESIGN.md §3 — this

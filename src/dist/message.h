@@ -11,14 +11,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "dp/parallel.h"
+#include "dp/forwarding.h"
 #include "topo/graph.h"
 
 namespace s2::dist {
 
-// kPacketBatch carries many symbolic-packet frames in one payload: the
-// parallel data plane emits packets per hop level, so a worker typically
-// has several frames for the same destination worker per round — batching
+// kPacketBatch carries many symbolic-packet frames in one payload: a
+// worker typically has several frames for the same destination worker per
+// forwarding round — batching
 // them amortizes the per-message envelope (paper §3.2, sidecars stream
 // packet pages, not single packets). kSymbolicPacket remains for
 // single-packet sends.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "bdd/bdd_io.h"
+
 namespace s2::dp {
 
 const char* FinalStateName(FinalState state) {
@@ -17,6 +19,28 @@ const char* FinalStateName(FinalState state) {
       return "loop";
   }
   return "?";
+}
+
+WirePacket ToWire(const InFlightPacket& packet) {
+  WirePacket wire;
+  wire.at = packet.at;
+  wire.from = packet.from;
+  wire.src = packet.src;
+  wire.hops = packet.hops;
+  wire.path = packet.path;
+  wire.set = bdd::Serialize(packet.set);
+  return wire;
+}
+
+InFlightPacket FromWire(const WirePacket& wire, bdd::Manager& manager) {
+  InFlightPacket packet;
+  packet.at = wire.at;
+  packet.from = wire.from;
+  packet.src = wire.src;
+  packet.hops = wire.hops;
+  packet.path = wire.path;
+  packet.set = bdd::DeserializeInto(manager, wire.set);
+  return packet;
 }
 
 void ForwardingEngine::AddNode(topo::NodeId id, NodePredicates preds) {

@@ -3,7 +3,8 @@
 // One ForwardingEngine runs per BDD domain: the monolithic verifier has a
 // single engine over all nodes; S2 gives each worker its own engine (and
 // manager), and packets crossing workers are emitted through a callback,
-// serialized, and re-encoded on the receiving side (§4.3, option 2).
+// serialized as WirePackets, and re-encoded on the receiving side (§4.3,
+// option 2).
 //
 // A packet is processed at a node as (Eq. 1):
 //   pkt & acl_in(ingress port), then per egress port
@@ -47,6 +48,23 @@ struct InFlightPacket {
   // anomalies such as forwarding valleys).
   std::vector<topo::NodeId> path;
 };
+
+// A symbolic packet in manager-independent wire form: the unit that
+// crosses worker boundaries.
+struct WirePacket {
+  topo::NodeId at = topo::kInvalidNode;
+  topo::NodeId from = topo::kInvalidNode;
+  topo::NodeId src = topo::kInvalidNode;
+  int hops = 0;
+  std::vector<topo::NodeId> path;  // path-recording queries only
+  std::vector<uint8_t> set;        // bdd_io canonical bytes
+
+  size_t WireBytes() const { return 16 + set.size() + 4 * path.size(); }
+};
+
+WirePacket ToWire(const InFlightPacket& packet);
+// Re-encodes `wire`'s set into `manager` (the receiving domain's).
+InFlightPacket FromWire(const WirePacket& wire, bdd::Manager& manager);
 
 struct FinalPacket {
   topo::NodeId src;   // injection source
@@ -93,19 +111,6 @@ class ForwardingEngine {
   using RemoteEmit = std::function<void(const InFlightPacket&)>;
   void Run(const RemoteEmit& emit);
 
-  // Level-stepped interface used by the parallel data plane: the lowest
-  // hop level with pending packets (kIdle if the queue is empty), and a
-  // drain of exactly that level. Forwarding only moves packets to higher
-  // levels, so draining level h enqueues only at h+1 and the exact-merge
-  // invariant (all copies at a level merge before the level is processed)
-  // holds as long as callers drain levels in ascending order — which is
-  // what lets multiple lanes run DrainLevel in lockstep and exchange
-  // cross-lane packets between levels. Run() is the sequential special
-  // case.
-  static constexpr int kIdle = INT_MAX;
-  int NextLevel() const;
-  void DrainLevel(int level, const RemoteEmit& emit);
-
   const std::vector<FinalPacket>& finals() const { return finals_; }
   const PacketCodec& codec() const { return codec_; }
 
@@ -132,6 +137,14 @@ class ForwardingEngine {
   // ACL on that port (the only way `from` can influence processing).
   using QueueKey = std::tuple<topo::NodeId, topo::NodeId, topo::NodeId>;
 
+  // The lowest hop level with pending packets (kIdle if the queue is
+  // empty), and a drain of exactly that level. Forwarding only moves
+  // packets to higher levels, so draining levels in ascending order keeps
+  // the exact-merge invariant: all copies at a level merge before the
+  // level is processed.
+  static constexpr int kIdle = INT_MAX;
+  int NextLevel() const;
+  void DrainLevel(int level, const RemoteEmit& emit);
   void Enqueue(const InFlightPacket& packet);
   void Process(InFlightPacket packet, const RemoteEmit& emit);
   void Final(const InFlightPacket& packet, FinalState state, bdd::Bdd set);

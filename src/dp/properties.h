@@ -24,6 +24,11 @@ struct Query {
   bool record_paths = false;
 };
 
+// Installs `query` on one forwarding domain: clears the previous query's
+// state, then sets the waypoint rules and injects the header space at the
+// transits and sources `engine` owns.
+void PrepareQuery(ForwardingEngine& engine, const Query& query);
+
 struct ReachabilityPair {
   topo::NodeId src;
   topo::NodeId dst;

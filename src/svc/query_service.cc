@@ -4,8 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "bdd/bdd_io.h"
-#include "fault/checkpoint.h"
 #include "obs/trace.h"
 
 namespace s2::svc {
@@ -179,9 +177,14 @@ QueryService::Served QueryService::ServeLocked(Lane& lane,
       scope.resize(snapshot.num_workers);
       for (uint32_t w = 0; w < snapshot.num_workers; ++w) scope[w] = w;
     }
-    served.scoped_workers = scope.size();
-    computed = Execute(lane, snapshot, query, scope, served);
-    served.scoped_workers = scope.size();  // include fallback growth
+    dist::QueryExecutor::Run run;
+    {
+      obs::Span execute_span("svc", "svc.execute");
+      run = lane.executor->Execute(query, scope);
+    }
+    served.rounds = run.rounds;
+    served.scoped_workers = scope.size();  // includes fallback growth
+    computed = std::move(run.finals);
     if (options_.result_cache_entries > 0) {
       if (lane.cache.size() >= options_.result_cache_entries) {
         auto victim = std::min_element(
@@ -208,6 +211,8 @@ QueryService::Served QueryService::ServeLocked(Lane& lane,
       std::lock_guard<std::mutex> lock(stats_mutex_);
       stats_.workers_scoped += served.scoped_workers;
       stats_.workers_total += snapshot.num_workers;
+      stats_.domains_built += run.domains_built;
+      stats_.scope_fallbacks += run.fallbacks;
     }
   }
 
@@ -215,17 +220,8 @@ QueryService::Served QueryService::ServeLocked(Lane& lane,
   // query's own destinations — the step that makes destination-disjoint
   // queries shareable upstream.
   std::vector<dp::FinalPacket> finals;
-  finals.reserve(finals_bytes->size());
-  for (const dist::SerializedFinal& final : *finals_bytes) {
-    served.gather_bytes += final.WireBytes();
-    dp::FinalPacket packet;
-    packet.src = final.src;
-    packet.node = final.node;
-    packet.state = final.state;
-    packet.path = final.path;
-    packet.set = bdd::DeserializeInto(*lane.gather_manager, final.set);
-    finals.push_back(std::move(packet));
-  }
+  dist::DeserializeFinals(*finals_bytes, *lane.gather_manager, finals,
+                          served.gather_bytes);
   served.result =
       dp::EvaluateQuery(query, *lane.gather_codec, finals, *snapshot.network);
 
@@ -245,11 +241,10 @@ QueryService::Served QueryService::ServeLocked(Lane& lane,
 }
 
 void QueryService::BindEpoch(Lane& lane, const Snapshot& snapshot) {
-  // Order matters: cache entries hold handles into the gather manager and
-  // engines into their managers — drop users before owners.
+  // Order matters: cache entries hold handles into the gather manager —
+  // drop users before owners.
   lane.cache.clear();
-  lane.engines.clear();
-  lane.managers.clear();
+  lane.executor.reset();
   lane.gather_codec.reset();
   lane.gather_manager =
       std::make_unique<bdd::Manager>(snapshot.layout.total_bits());
@@ -258,54 +253,17 @@ void QueryService::BindEpoch(Lane& lane, const Snapshot& snapshot) {
   // on a query-count cadence instead.
   lane.gather_manager->PauseGc();
   lane.gather_codec.emplace(lane.gather_manager.get(), snapshot.layout);
-  lane.managers.resize(snapshot.num_workers);
-  lane.engines.resize(snapshot.num_workers);
+  dist::QueryExecutor::Options executor_options;
+  executor_options.layout = snapshot.layout;
+  executor_options.max_hops = snapshot.max_hops;
+  executor_options.max_bdd_nodes = snapshot.max_bdd_nodes;
+  executor_options.hold_gc = true;
+  lane.executor.emplace(&snapshot.predicates, &snapshot.worker_of,
+                        std::move(executor_options));
   lane.epoch = snapshot.epoch;
   lane.queries_since_gc = 0;
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.epoch_rebuilds;
-}
-
-void QueryService::EnsureDomain(Lane& lane, const Snapshot& snapshot,
-                                uint32_t w) {
-  if (lane.engines[w] != nullptr) return;
-  obs::Span span("svc", "svc.domain_build");
-  span.Arg("worker", static_cast<int64_t>(w));
-  bdd::Manager::Options manager_options;
-  manager_options.max_nodes = snapshot.max_bdd_nodes;
-  auto manager = std::make_unique<bdd::Manager>(snapshot.layout.total_bits(),
-                                                manager_options);
-  manager->PauseGc();
-  dp::PacketCodec codec(manager.get(), snapshot.layout);
-  dp::ForwardingEngine::Options engine_options;
-  engine_options.max_hops = snapshot.max_hops;
-  auto engine =
-      std::make_unique<dp::ForwardingEngine>(codec, engine_options);
-  for (const auto& [id, bytes] : snapshot.predicates[w]) {
-    // AddNode pins the predicate roots: this epoch's snapshot surface is
-    // immutable for the domain's lifetime (bdd.h, PinRoot).
-    engine->AddNode(id, fault::DeserializePredicates(*manager, bytes));
-  }
-  lane.managers[w] = std::move(manager);
-  lane.engines[w] = std::move(engine);
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.domains_built;
-}
-
-void QueryService::PrepareEngine(Lane& lane, const dp::Query& query,
-                                 uint32_t w) {
-  dp::ForwardingEngine& engine = *lane.engines[w];
-  engine.ResetQueryState();
-  engine.set_record_paths(query.record_paths);
-  for (size_t i = 0; i < query.transits.size(); ++i) {
-    if (engine.Owns(query.transits[i])) {
-      engine.SetWaypointBit(query.transits[i], static_cast<uint32_t>(i));
-    }
-  }
-  bdd::Bdd header = query.header_space.ToBdd(engine.codec());
-  for (topo::NodeId src : query.sources) {
-    if (engine.Owns(src)) engine.Inject(src, header);
-  }
 }
 
 std::vector<uint32_t> QueryService::ScopeWorkers(
@@ -360,82 +318,6 @@ QueryService::CacheEntry* QueryService::FindCached(Lane& lane,
   return nullptr;
 }
 
-std::vector<dist::SerializedFinal> QueryService::Execute(
-    Lane& lane, const Snapshot& snapshot, const dp::Query& query,
-    std::vector<uint32_t>& scope, Served& served) {
-  obs::Span span("svc", "svc.execute");
-  for (uint32_t w : scope) EnsureDomain(lane, snapshot, w);
-  for (uint32_t w : scope) PrepareEngine(lane, query, w);
-
-  // The Dpo::RunQueries round loop over the scoped domains: run every
-  // engine to quiescence in ascending worker order, ferry the serialized
-  // crossing packets, repeat until silent. Identical structure keeps the
-  // finals — and therefore the verdicts — byte-identical to batch mode.
-  std::vector<dp::WirePacket> crossing;
-  for (;;) {
-    size_t steps_before = 0, steps_after = 0;
-    for (size_t i = 0; i < scope.size(); ++i) {
-      dp::ForwardingEngine& engine = *lane.engines[scope[i]];
-      steps_before += engine.steps();
-      engine.Run([&](const dp::InFlightPacket& packet) {
-        dp::WirePacket wire;
-        wire.at = packet.at;
-        wire.from = packet.from;
-        wire.src = packet.src;
-        wire.hops = packet.hops;
-        wire.path = packet.path;
-        wire.set = bdd::Serialize(packet.set);
-        crossing.push_back(std::move(wire));
-      });
-      steps_after += engine.steps();
-    }
-    ++served.rounds;
-    if (crossing.empty()) {
-      if (steps_after == steps_before) break;
-      continue;
-    }
-    for (const dp::WirePacket& wire : crossing) {
-      uint32_t dest = snapshot.worker_of[wire.at];
-      if (!std::binary_search(scope.begin(), scope.end(), dest)) {
-        // Admission under-scoped (incomplete forward-edge index): build
-        // the domain lazily and keep going — scoping is a perf hint, not
-        // a correctness gate.
-        EnsureDomain(lane, snapshot, dest);
-        PrepareEngine(lane, query, dest);
-        scope.insert(std::upper_bound(scope.begin(), scope.end(), dest),
-                     dest);
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.scope_fallbacks;
-      }
-      dp::InFlightPacket packet;
-      packet.at = wire.at;
-      packet.from = wire.from;
-      packet.src = wire.src;
-      packet.hops = wire.hops;
-      packet.path = wire.path;
-      packet.set = bdd::DeserializeInto(*lane.managers[dest], wire.set);
-      lane.engines[dest]->Accept(std::move(packet));
-    }
-    crossing.clear();
-  }
-
-  // Finals in ascending worker order — the worker-major order batch mode
-  // gathers in (unscoped workers contribute nothing by construction).
-  std::vector<dist::SerializedFinal> out;
-  for (uint32_t w : scope) {
-    for (const dp::FinalPacket& final : lane.engines[w]->finals()) {
-      dist::SerializedFinal serialized;
-      serialized.src = final.src;
-      serialized.node = final.node;
-      serialized.state = final.state;
-      serialized.path = final.path;
-      serialized.set = bdd::Serialize(final.set);
-      out.push_back(std::move(serialized));
-    }
-  }
-  return out;
-}
-
 void QueryService::MaybeCollect(Lane& lane) {
   if (options_.gc_interval_queries == 0) return;
   if (++lane.queries_since_gc < options_.gc_interval_queries) return;
@@ -443,9 +325,7 @@ void QueryService::MaybeCollect(Lane& lane) {
   // Explicit sweeps on the held-GC serving domains: dead intermediates
   // accumulated across the interval are freed (and their op-cache entries
   // purged); pinned predicate roots and cached header handles survive.
-  for (const auto& manager : lane.managers) {
-    if (manager) manager->GarbageCollect();
-  }
+  lane.executor->Collect();
   lane.gather_manager->GarbageCollect();
 }
 
@@ -458,17 +338,8 @@ bdd::Manager::CacheStats QueryService::OpCacheStats() const {
   bdd::Manager::CacheStats total;
   for (const auto& lane : lanes_) {
     std::lock_guard<std::mutex> lock(lane->mutex);
-    auto add = [&total](const bdd::Manager* manager) {
-      if (manager == nullptr) return;
-      const bdd::Manager::CacheStats& stats = manager->cache_stats();
-      total.hits += stats.hits;
-      total.misses += stats.misses;
-      total.evictions += stats.evictions;
-      total.gc_kept += stats.gc_kept;
-      total.gc_dropped += stats.gc_dropped;
-    };
-    for (const auto& manager : lane->managers) add(manager.get());
-    add(lane->gather_manager.get());
+    if (lane->executor) total += lane->executor->cache_stats();
+    if (lane->gather_manager) total += lane->gather_manager->cache_stats();
   }
   return total;
 }

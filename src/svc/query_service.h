@@ -16,15 +16,14 @@
 //  counter records the miss — scoping degrades to a perf hint, never a
 //  soundness risk.
 //
-//  Serving lanes — each lane owns persistent per-epoch, per-worker
-//  (Manager, ForwardingEngine) domains rebuilt from the snapshot's
-//  canonical predicate bytes, the same construction Dpo::RunQueries uses
-//  per query. Unlike RunQueries, the domains live across queries with GC
-//  held (bdd::Manager::PauseGc), so the hash-consed node ids of the
-//  predicate roots — and the op/ITE cache entries over them — are stable
-//  from query to query: a repeated query replays almost entirely out of
-//  the op caches. Explicit collections run every gc_interval_queries to
-//  bound table growth. Queries are dispatched to lanes by a key hash, so
+//  Serving lanes — each lane owns one dist::QueryExecutor per epoch
+//  (dist/query_executor.h), the executor Dpo::RunQueries runs per query.
+//  Here its per-worker domains live across queries with GC held
+//  (bdd::Manager::PauseGc), so the hash-consed node ids of the predicate
+//  roots — and the op/ITE cache entries over them — are stable from query
+//  to query: a repeated query replays almost entirely out of the op
+//  caches. Explicit collections run every gc_interval_queries to bound
+//  table growth. Queries are dispatched to lanes by a key hash, so
 //  identical queries always land on the lane that has them warm.
 //
 //  Predicate cache — per lane, keyed on (epoch, header-space BDD root id
@@ -41,7 +40,7 @@
 
 #include <optional>
 
-#include "dist/worker.h"
+#include "dist/query_executor.h"
 #include "svc/snapshot.h"
 
 namespace s2::svc {
@@ -142,12 +141,13 @@ class QueryService {
     std::mutex mutex;
     uint64_t epoch = 0;  // 0 = not bound yet
     // Destruction order matters: cache entries hold handles into
-    // gather_manager and engines hold handles into managers, so members
-    // are declared owner-first (reverse destruction runs users first).
+    // gather_manager, so members are declared owner-first (reverse
+    // destruction runs users first).
     std::unique_ptr<bdd::Manager> gather_manager;
     std::optional<dp::PacketCodec> gather_codec;
-    std::vector<std::unique_ptr<bdd::Manager>> managers;    // per worker
-    std::vector<std::unique_ptr<dp::ForwardingEngine>> engines;
+    // Reads the bound epoch's predicate bytes and worker map; it only
+    // builds domains inside ServeLocked, which holds a pin on that epoch.
+    std::optional<dist::QueryExecutor> executor;
     std::vector<CacheEntry> cache;
     uint64_t stamp = 0;
     size_t queries_since_gc = 0;
@@ -157,17 +157,10 @@ class QueryService {
   Served ServeLocked(Lane& lane, const SnapshotRef& ref,
                      const dp::Query& query);
   void BindEpoch(Lane& lane, const Snapshot& snapshot);
-  void EnsureDomain(Lane& lane, const Snapshot& snapshot, uint32_t w);
-  void PrepareEngine(Lane& lane, const dp::Query& query, uint32_t w);
   std::vector<uint32_t> ScopeWorkers(const Snapshot& snapshot,
                                      const dp::Query& query) const;
   CacheEntry* FindCached(Lane& lane, uint64_t epoch, const bdd::Bdd& header,
                          const dp::Query& query);
-  std::vector<dist::SerializedFinal> Execute(Lane& lane,
-                                             const Snapshot& snapshot,
-                                             const dp::Query& query,
-                                             std::vector<uint32_t>& scope,
-                                             Served& served);
   void MaybeCollect(Lane& lane);
 
   SnapshotRegistry* registry_;

@@ -8,7 +8,7 @@
 namespace s2::util {
 
 // CPU time consumed by the calling thread, in seconds. On a machine with
-// fewer cores than runnable lanes, wall clock charges a lane for time it
+// fewer cores than runnable threads, wall clock charges a thread for time it
 // spent descheduled; per-thread CPU time is what the cost model's modeled
 // parallel schedule needs (DESIGN.md §3).
 inline double ThreadCpuSeconds() {

@@ -519,18 +519,17 @@ TEST(DistResourceTest, PerWorkerBudgetOomIsAVerdict) {
   EXPECT_NE(result.failure_detail.find("worker-"), std::string::npos);
 }
 
-// The parallel data-plane paths surface the same resource verdicts as the
-// sequential engine: per-lane node tables still honor max_bdd_nodes, lane
-// and per-query-domain charges still land on the worker tracker.
+// The distributed data-plane paths surface resource limits as verdicts:
+// each worker's node table honors max_bdd_nodes, and both the worker
+// engine's and the per-query domains' charges land on the worker tracker.
 
-TEST(DistResourceTest, ParallelLanesBddOverflowIsAVerdict) {
+TEST(DistResourceTest, DataPlaneBddOverflowIsAVerdict) {
   topo::FatTreeParams params;
   params.k = 4;
   auto net = testing::Parse(topo::MakeFatTree(params));
   ControllerOptions options;
   options.num_workers = 2;
-  options.dp_lanes = 3;
-  options.max_bdd_nodes = 64;  // tiny per-lane node table
+  options.max_bdd_nodes = 64;  // tiny per-worker node table
   core::S2Verifier verifier(options);
   dp::Query query;
   query.header_space.dst = util::MustParsePrefix("10.0.0.0/8");
@@ -542,13 +541,12 @@ TEST(DistResourceTest, ParallelLanesBddOverflowIsAVerdict) {
             std::string::npos);
 }
 
-TEST(DistResourceTest, ParallelLanesBudgetOomIsAVerdict) {
+TEST(DistResourceTest, DataPlaneBudgetOomIsAVerdict) {
   topo::FatTreeParams params;
   params.k = 4;
   auto net = testing::Parse(topo::MakeFatTree(params));
   ControllerOptions options;
   options.num_workers = 2;
-  options.dp_lanes = 2;
   options.worker_memory_budget = 20'000;  // far too small
   core::S2Verifier verifier(options);
   core::VerifyResult result = verifier.Verify(net, {});
@@ -590,7 +588,7 @@ TEST(DistResourceTest, QueryParallelDomainsRespectWorkerBudget) {
   EXPECT_THROW(controller.RunQueries(queries), util::SimulatedOom);
 }
 
-TEST(DistResourceTest, NonConvergenceIsTimeoutWithParallelLanes) {
+TEST(DistResourceTest, DistributedNonConvergenceIsTimeout) {
   topo::Network net = testing::MakeChain(2);
   auto p = util::MustParsePrefix("203.0.113.0/24");
   net.intents[0].cond_advs.push_back(topo::CondAdvIntent{p, p, false});
@@ -598,7 +596,6 @@ TEST(DistResourceTest, NonConvergenceIsTimeoutWithParallelLanes) {
   ControllerOptions options;
   options.num_workers = 2;
   options.max_rounds = 20;
-  options.dp_lanes = 2;
   core::S2Verifier verifier(options);
   core::VerifyResult result = verifier.Verify(parsed, {});
   EXPECT_EQ(result.status, core::RunStatus::kTimeout);

@@ -2,8 +2,8 @@
 // Registry's value kinds and deterministic JSON, and the acceptance check
 // for the whole subsystem — a fig6-style 2-worker sharded run whose Chrome
 // trace must be schema-valid JSON with a span for every Controller phase,
-// per-shard CP pass, and per-lane DP round, and whose RunReport must carry
-// every RoundMetrics/transport counter.
+// per-shard CP pass, and per-worker DP forwarding drain, and whose
+// RunReport must carry every RoundMetrics/transport counter.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -305,7 +305,7 @@ class JsonParser {
 // ------------------------------------------------- end-to-end acceptance
 
 // A fig6-style run: FatTree k=4 configs parsed from text, 2 workers,
-// prefix sharding on, 2 DP lanes, one reachability query — the setup that
+// prefix sharding on, one reachability query — the setup that
 // exercises every instrumented phase.
 core::VerifyResult TracedFig6Run(core::S2Verifier& verifier) {
   topo::FatTreeParams params;
@@ -324,7 +324,6 @@ dist::ControllerOptions Fig6Options() {
   dist::ControllerOptions options;
   options.num_workers = 2;
   options.num_shards = 4;
-  options.dp_lanes = 2;
   return options;
 }
 
@@ -379,12 +378,13 @@ TEST(ObsAcceptanceTest, Fig6TraceIsValidChromeJsonWithAllPhaseSpans) {
   }
 
   // Every Controller phase, the parse phase (text overload), per-shard CP
-  // passes, per-round CP barriers, per-lane DP rounds, and sidecar drains.
+  // passes, per-round CP barriers, DP rounds with their per-worker
+  // forwarding drains, and sidecar drains.
   for (const char* required :
        {"controller.parse", "controller.partition",
         "controller.control_plane", "controller.dp_build",
         "controller.query", "cp.shard", "cp.round", "dp.worker_build",
-        "dp.round", "dp.lane.round", "sidecar.drain"}) {
+        "dp.round", "dp.forward", "sidecar.drain"}) {
     EXPECT_GT(by_name[required], 0) << "missing span " << required;
   }
   // One cp.shard span per shard in the plan.

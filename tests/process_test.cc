@@ -16,7 +16,9 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -463,6 +465,50 @@ TEST(ProcessWorkers, MissingSourceTextsIsRejected) {
   dist::Controller controller(std::move(net),
                               BaseOptions(2, 0, WorkerMode::kProcess));
   EXPECT_THROW(controller.Setup(), std::runtime_error);
+}
+
+// Spill-directory hygiene: s2_worker children spill in memory and exit
+// through _Exit, and an incremental what-if spills into an in-memory
+// overlay store, so neither may leave an s2-ribstore-* directory behind.
+// TMPDIR points at a private directory (children inherit it) so only this
+// test's residue is counted.
+TEST(ProcessWorkers, NoSpillDirectoryOutlivesTheRun) {
+  namespace fs = std::filesystem;
+  std::string dir =
+      (fs::temp_directory_path() / "s2-spill-hygiene-XXXXXX").string();
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const char* previous = std::getenv("TMPDIR");
+  std::optional<std::string> saved;
+  if (previous != nullptr) saved = previous;
+  setenv("TMPDIR", dir.c_str(), 1);
+  {
+    config::ParsedNetwork net = DefaultDcn();
+    dp::Query query = EdgeQuery(net);
+    core::S2Verifier proc(BaseOptions(2, 4, WorkerMode::kProcess));
+    core::VerifyResult result = proc.Verify(net, {query});
+    EXPECT_EQ(result.status, core::RunStatus::kOk) << result.failure_detail;
+
+    core::S2Verifier in_proc(BaseOptions(2, 4, WorkerMode::kInProcess));
+    ASSERT_TRUE(in_proc.Verify(net, {query}).ok());
+    const topo::Edge& edge = net.graph.edge(0);
+    std::optional<core::IncrementalResult> whatif =
+        in_proc.VerifyIncremental(core::RemoveLinkScenario(edge.a, edge.b));
+    ASSERT_TRUE(whatif.has_value());
+    EXPECT_TRUE(whatif->result.ok()) << whatif->result.failure_detail;
+  }
+  if (saved) {
+    setenv("TMPDIR", saved->c_str(), 1);
+  } else {
+    unsetenv("TMPDIR");
+  }
+  std::vector<std::string> residue;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind("s2-ribstore-", 0) == 0) residue.push_back(name);
+  }
+  fs::remove_all(dir);
+  EXPECT_TRUE(residue.empty()) << residue.size() << " entries left, first "
+                               << (residue.empty() ? "" : residue.front());
 }
 
 }  // namespace

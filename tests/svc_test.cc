@@ -276,6 +276,65 @@ TEST(QueryServiceTest, AdmissionScopingPreservesVerdicts) {
   EXPECT_EQ(scoped.stats().scope_fallbacks, 0u);
 }
 
+// A snapshot whose forward-edge index misses a node (what a recovered
+// worker publishes: checkpoints carry predicates, not FIBs) under-scopes
+// admission. The executor must then build the missing domains lazily
+// mid-query and still answer byte-identically to batch execution.
+TEST(QueryServiceTest, UnderScopedQueriesFallBackToLazyDomains) {
+  topo::DcnParams params;
+  params.small_clusters = 1;
+  params.big_clusters = 1;
+  params.tors_per_pod = 2;
+  params.cores = 2;
+  config::ParsedNetwork net =
+      config::ParseNetwork(config::SynthesizeConfigs(topo::MakeDcn(params)));
+  dist::ControllerOptions options;
+  options.num_workers = 4;
+  dp::Query all = AllPairQuery(net);
+  Converged probe(net, {}, options);
+  const std::vector<uint32_t>& worker_of = probe.snapshot.worker_of;
+
+  // A single pair whose endpoints live on different workers, so its
+  // packets must leave the source's worker.
+  dp::Query single;
+  single.header_space.dst = util::MustParsePrefix("10.0.0.0/8");
+  single.sources = {all.sources.front()};
+  for (topo::NodeId dst : all.destinations) {
+    if (worker_of[dst] != worker_of[single.sources.front()]) {
+      single.destinations = {dst};
+      break;
+    }
+  }
+  ASSERT_FALSE(single.destinations.empty());
+
+  Converged run(net, {all, single}, options);
+  // Erase the source's forward edges: admission then reaches only the
+  // source's own worker, and every other domain is a fallback.
+  ASSERT_EQ(run.snapshot.fib_edges.erase(single.sources.front()), 1u);
+  svc::SnapshotRegistry registry;
+  registry.Publish(run.snapshot);
+  svc::QueryService::Options service_options;
+  service_options.result_cache_entries = 0;  // every serve executes
+  svc::QueryService service(&registry, service_options);
+
+  svc::QueryService::Served first = service.Serve(single);
+  EXPECT_GT(service.stats().scope_fallbacks, 0u);
+  EXPECT_GT(first.scoped_workers, 1u);  // grew past the admitted scope
+  ExpectIdenticalResult(first.result, run.result.queries[1], "single");
+
+  // The fallback domains persist: a repeat falls back again (the index is
+  // still incomplete) but builds nothing new.
+  size_t built = service.stats().domains_built;
+  size_t fallbacks = service.stats().scope_fallbacks;
+  svc::QueryService::Served again = service.Serve(single);
+  EXPECT_GT(service.stats().scope_fallbacks, fallbacks);
+  EXPECT_EQ(service.stats().domains_built, built);
+  ExpectIdenticalResult(again.result, run.result.queries[1], "single/again");
+
+  ExpectIdenticalResult(service.Serve(all).result, run.result.queries[0],
+                        "all");
+}
+
 TEST(QueryServiceTest, BatchGroupsCompatibleQueries) {
   config::ParsedNetwork net = testing::Parse(testing::MakeChain(5));
   dp::Query all = AllPairQuery(net);
