@@ -157,16 +157,24 @@ IncrementalResult VerifyIncremental(const IncrementalBase& base,
         }
       }
     };
-    if (scenario.kind == Scenario::Kind::kRemoveLink) {
-      collect(scenario.a, scenario.b);
-      collect(scenario.b, scenario.a);
-    } else {
-      // Every route a neighbor learned from the victim, plus everything
-      // the victim learned remotely (its sessions are all gone).
-      std::set<topo::NodeId> neighbors(net.graph.neighbors(scenario.a).begin(),
-                                       net.graph.neighbors(scenario.a).end());
-      for (topo::NodeId m : neighbors) collect(m, scenario.a);
-      collect(scenario.a, std::nullopt);
+    try {
+      if (scenario.kind == Scenario::Kind::kRemoveLink) {
+        collect(scenario.a, scenario.b);
+        collect(scenario.b, scenario.a);
+      } else {
+        // Every route a neighbor learned from the victim, plus everything
+        // the victim learned remotely (its sessions are all gone).
+        std::set<topo::NodeId> neighbors(
+            net.graph.neighbors(scenario.a).begin(),
+            net.graph.neighbors(scenario.a).end());
+        for (topo::NodeId m : neighbors) collect(m, scenario.a);
+        collect(scenario.a, std::nullopt);
+      }
+    } catch (const util::SpillError& spill) {
+      // Base spills that cannot be read back bound no impact.
+      result.status = RunStatus::kSpillFailed;
+      result.failure_detail = spill.what();
+      return out;
     }
     closure = dpdg.Closure(impacted);
   }
@@ -214,16 +222,11 @@ IncrementalResult VerifyIncremental(const IncrementalBase& base,
     for (const util::IpPrefix& prefix : sorted_closure) {
       plan.Assign(0, prefix);
     }
+    // The overlay records each node's FIB projection as it spills, so the
+    // rebuild diff below is a pure in-memory comparison.
     store = fallback ? std::make_shared<cp::RibStore>()
                      : std::make_shared<cp::RibStore>(base.rib_spills,
                                                       closure);
-    // The overlay records each node's FIB projection as it spills, so the
-    // rebuild diff below is a pure in-memory comparison; its spill blobs
-    // stay in memory too (they never outlive this run).
-    if (!fallback) {
-      store->EnableProjectionCapture();
-      store->EnableInMemorySpills();
-    }
     controller.OverrideShardPlan(std::move(plan), store);
     result.control_plane = controller.RunControlPlane();
 
@@ -265,14 +268,15 @@ IncrementalResult VerifyIncremental(const IncrementalBase& base,
     stats.nodes_reused = num_nodes - rebuild.size();
 
     dist::Worker::ReusableDataPlane reuse;
+    reuse.rebuild = &rebuild;
     reuse.predicates = &base.predicates;
     reuse.fib_edges = &base.fib_edges;
     reuse.fib_bytes = &base.fib_bytes;
-    result.dp_build = controller.BuildDataPlanesHybrid(rebuild, reuse);
+    result.dp_build = controller.BuildDataPlanes(&reuse);
 
     // Serialize only the rebuilt nodes' predicates; a reused node's bytes
-    // are exactly the base run's (the hybrid build deserialized them
-    // verbatim, and the encoding is canonical).
+    // are exactly the base run's (the build deserialized them verbatim,
+    // and the encoding is canonical).
     phase_span.emplace("incremental", "incremental.snapshot");
     for (size_t w = 0; w < controller.num_workers(); ++w) {
       const dist::Worker& worker = controller.worker(w);
@@ -403,6 +407,9 @@ IncrementalResult VerifyIncremental(const IncrementalBase& base,
   } catch (const util::SimulatedTimeout& timeout) {
     result.status = RunStatus::kTimeout;
     result.failure_detail = timeout.what();
+  } catch (const util::SpillError& spill) {
+    result.status = RunStatus::kSpillFailed;
+    result.failure_detail = spill.what();
   }
 
   result.peak_memory_bytes = controller.MaxWorkerPeakBytes();

@@ -103,6 +103,9 @@ VerifyResult MonoVerifier::Verify(const config::ParsedNetwork& network,
   } catch (const util::SimulatedTimeout& timeout) {
     result.status = RunStatus::kTimeout;
     result.failure_detail = timeout.what();
+  } catch (const util::SpillError& spill) {
+    result.status = RunStatus::kSpillFailed;
+    result.failure_detail = spill.what();
   }
 
   result.peak_memory_bytes = tracker.peak_bytes();

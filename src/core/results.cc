@@ -14,6 +14,8 @@ const char* RunStatusName(RunStatus status) {
       return "timeout";
     case RunStatus::kWorkerLost:
       return "worker_lost";
+    case RunStatus::kSpillFailed:
+      return "spill_failed";
   }
   return "?";
 }

@@ -13,13 +13,13 @@
 
 namespace s2::core {
 
-enum class RunStatus { kOk, kOutOfMemory, kTimeout, kWorkerLost };
+enum class RunStatus { kOk, kOutOfMemory, kTimeout, kWorkerLost, kSpillFailed };
 
 const char* RunStatusName(RunStatus status);
 
 struct VerifyResult {
   RunStatus status = RunStatus::kOk;
-  std::string failure_detail;  // domain/reason for OOM or timeout
+  std::string failure_detail;  // domain/reason for a non-ok status
 
   // Phase metrics. For the monolithic baseline, wall == the single
   // domain's compute time and modeled adds GC penalties.

@@ -84,6 +84,11 @@ VerifyResult S2Verifier::Verify(config::ParsedNetwork network,
     // than a hang or a crash.
     result.status = RunStatus::kWorkerLost;
     result.failure_detail = lost.what();
+  } catch (const util::SpillError& spill) {
+    // The spill segment could not be created, written or read (an
+    // unusable TMPDIR, a full disk): a verdict, not a crash.
+    result.status = RunStatus::kSpillFailed;
+    result.failure_detail = spill.what();
   }
   result.peak_memory_bytes = controller_->MaxWorkerPeakBytes();
   result.worker_peaks = controller_->WorkerPeakBytes();

@@ -1,12 +1,14 @@
 #include "cp/rib.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
+#include <cerrno>
 #include <cstdlib>
-#include <fstream>
+#include <filesystem>
+
+#include "util/status.h"
 
 namespace s2::cp {
 
@@ -200,24 +202,66 @@ void Rib::Clear() {
 
 // ------------------------------------------------------------- RibStore
 
-RibStore::RibStore() = default;
+RibStore::RibStore() {
+  std::error_code ec;
+  std::filesystem::path dir = std::filesystem::temp_directory_path(ec);
+  if (ec) {
+    // Some standard libraries leave the rejected directory out of the
+    // error; TMPDIR is the setting an operator would need to fix.
+    const char* tmpdir = std::getenv("TMPDIR");
+    throw util::SpillError("open", tmpdir ? tmpdir : "temp directory",
+                           ec.value());
+  }
+  std::string name =
+      (dir / ("s2-ribstore-" + std::to_string(::getpid()) + "-XXXXXX"))
+          .string();
+  fd_ = ::mkostemp(name.data(), O_CLOEXEC);
+  if (fd_ < 0) throw util::SpillError("open", name, errno);
+  // Unlinked at once: the segment lives exactly as long as the fd, so no
+  // exit path (destructor, _Exit, SIGKILL) can leave it behind.
+  ::unlink(name.c_str());
+  path_ = std::move(name);
+}
 
 RibStore::RibStore(std::shared_ptr<const RibStore> base,
                    std::unordered_set<util::IpPrefix> masked)
-    : base_(std::move(base)), masked_(std::move(masked)) {}
-
-RibStore::~RibStore() {
-  if (dir_.empty()) return;
-  std::error_code ec;
-  std::filesystem::remove_all(dir_, ec);
+    : RibStore() {
+  base_ = std::move(base);
+  masked_ = std::move(masked);
 }
 
-void RibStore::CreateDir() {
-  static std::atomic<uint64_t> counter{0};
-  dir_ = std::filesystem::temp_directory_path() /
-         ("s2-ribstore-" + std::to_string(::getpid()) + "-" +
-          std::to_string(counter.fetch_add(1)));
-  std::filesystem::create_directories(dir_);
+RibStore::~RibStore() { ::close(fd_); }
+
+void RibStore::Append(int shard, topo::NodeId node,
+                      const std::vector<uint8_t>& bytes) {
+  Extent extent;
+  extent.size = bytes.size();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    extent.offset = end_;
+    end_ += extent.size;
+  }
+  for (size_t done = 0; done < bytes.size();) {
+    ssize_t n = ::pwrite(fd_, bytes.data() + done, bytes.size() - done,
+                         static_cast<off_t>(extent.offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) throw util::SpillError("write", path_, n < 0 ? errno : EIO);
+    done += static_cast<size_t>(n);
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  index_[node][shard] = extent;
+}
+
+std::vector<uint8_t> RibStore::ReadExtent(const Extent& extent) const {
+  std::vector<uint8_t> bytes(extent.size);
+  for (size_t done = 0; done < bytes.size();) {
+    ssize_t n = ::pread(fd_, bytes.data() + done, bytes.size() - done,
+                        static_cast<off_t>(extent.offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) throw util::SpillError("read", path_, n < 0 ? errno : EIO);
+    done += static_cast<size_t>(n);
+  }
+  return bytes;
 }
 
 void RibStore::Write(
@@ -232,23 +276,14 @@ void RibStore::Write(
   }
   std::vector<uint8_t> bytes;
   SerializeRoutes(updates, bytes, stats_pool);
-  if (!in_memory_) {
-    // Workers spill concurrently; the first on-disk write creates the dir.
-    std::call_once(dir_once_, [this] { CreateDir(); });
-    auto path = dir_ / (std::to_string(shard) + "-" + std::to_string(node) +
-                        ".rib");
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) std::abort();  // disk trouble is not a recoverable verdict
-  }
+  Append(shard, node, bytes);
   std::lock_guard<std::mutex> lock(mutex_);
   bytes_written_ += bytes.size();
   routes_written_ += updates.size();
   for (const auto& [prefix, routes] : best) {
     routes_per_prefix_[prefix] += routes.size();
   }
-  if (capture_projections_) {
+  if (base_ != nullptr) {
     std::map<util::IpPrefix, std::vector<topo::NodeId>>& projection =
         projections_[node];
     for (const auto& [prefix, routes] : best) {
@@ -265,24 +300,28 @@ void RibStore::Write(
       }
     }
   }
-  if (in_memory_) blobs_[{shard, node}] = std::move(bytes);
-  entries_.emplace_back(shard, node);
 }
 
 void RibStore::SeedBlob(int shard, topo::NodeId node,
-                        std::vector<uint8_t> bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  in_memory_ = true;
-  auto key = std::make_pair(shard, node);
-  bool existed = blobs_.count(key) != 0;
-  blobs_[key] = std::move(bytes);
-  if (!existed) entries_.emplace_back(shard, node);
+                        const std::vector<uint8_t>& bytes) {
+  Append(shard, node, bytes);
 }
 
-std::map<std::pair<int, topo::NodeId>, std::vector<uint8_t>>
-RibStore::OwnBlobs() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return blobs_;
+std::map<topo::NodeId, std::vector<uint8_t>> RibStore::Blobs(
+    int shard) const {
+  std::vector<std::pair<topo::NodeId, Extent>> extents;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [node, shards] : index_) {
+      auto it = shards.find(shard);
+      if (it != shards.end()) extents.emplace_back(node, it->second);
+    }
+  }
+  std::map<topo::NodeId, std::vector<uint8_t>> blobs;
+  for (const auto& [node, extent] : extents) {
+    blobs.emplace(node, ReadExtent(extent));
+  }
+  return blobs;
 }
 
 const std::map<util::IpPrefix, std::vector<topo::NodeId>>*
@@ -303,45 +342,22 @@ size_t RibStore::CountRoutes(
   return total;
 }
 
-void RibStore::ReadOwnInto(
-    topo::NodeId node, const std::unordered_set<int>* shards, AttrPool& pool,
-    std::map<util::IpPrefix, std::vector<Route>>& out) const {
-  std::vector<std::pair<int, topo::NodeId>> entries;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries = entries_;
-  }
-  // Shards hold disjoint prefixes, so each out[prefix] is filled from a
-  // single file and the entry order cannot change the result.
-  for (const auto& [shard, entry_node] : entries) {
-    if (entry_node != node) continue;
-    if (shards != nullptr && shards->count(shard) == 0) continue;
-    std::vector<uint8_t> bytes;
-    if (in_memory_) {
-      // Spills are complete before any read (the DPO starts only after the
-      // CPO's last spill barrier), but copy under the lock regardless.
-      std::lock_guard<std::mutex> lock(mutex_);
-      bytes = blobs_.at({shard, entry_node});
-    } else {
-      auto path = dir_ / (std::to_string(shard) + "-" +
-                          std::to_string(entry_node) + ".rib");
-      std::ifstream in(path, std::ios::binary | std::ios::ate);
-      if (!in) std::abort();
-      bytes.resize(static_cast<size_t>(in.tellg()));
-      in.seekg(0);
-      in.read(reinterpret_cast<char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    }
-    for (RouteUpdate& update : DeserializeRoutes(bytes, pool)) {
-      out[update.prefix].push_back(std::move(update.route));
-    }
-  }
-}
-
 std::map<util::IpPrefix, std::vector<Route>> RibStore::ReadAll(
     topo::NodeId node, AttrPool& pool) const {
+  std::map<int, Extent> extents;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = index_.find(node);
+    if (it != index_.end()) extents = it->second;
+  }
+  // Shards hold disjoint prefixes, so each merged[prefix] is filled from a
+  // single extent.
   std::map<util::IpPrefix, std::vector<Route>> merged;
-  ReadOwnInto(node, nullptr, pool, merged);
+  for (const auto& [shard, extent] : extents) {
+    for (RouteUpdate& update : DeserializeRoutes(ReadExtent(extent), pool)) {
+      merged[update.prefix].push_back(std::move(update.route));
+    }
+  }
   if (base_ != nullptr) {
     // The base layer serves every prefix outside the mask; own spills stay
     // within the mask (the overlay contract), so the layers are disjoint.
@@ -353,21 +369,6 @@ std::map<util::IpPrefix, std::vector<Route>> RibStore::ReadAll(
     }
   }
   return merged;
-}
-
-std::map<util::IpPrefix, std::vector<Route>> RibStore::ReadOwn(
-    topo::NodeId node, AttrPool& pool) const {
-  std::map<util::IpPrefix, std::vector<Route>> out;
-  ReadOwnInto(node, nullptr, pool, out);
-  return out;
-}
-
-std::map<util::IpPrefix, std::vector<Route>> RibStore::ReadShards(
-    topo::NodeId node, const std::unordered_set<int>& shards,
-    AttrPool& pool) const {
-  std::map<util::IpPrefix, std::vector<Route>> out;
-  ReadOwnInto(node, &shards, pool, out);
-  return out;
 }
 
 }  // namespace s2::cp

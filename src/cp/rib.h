@@ -1,5 +1,5 @@
 // Per-node RIB: candidate routes per (prefix, neighbor), selected best /
-// ECMP sets, and the on-disk RIB store used by prefix sharding.
+// ECMP sets, and the spill store used by prefix sharding.
 //
 // The candidate table is the memory hog the paper's per-worker accounting
 // is about: every insert/replace/erase is charged to the owning domain's
@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -110,10 +109,13 @@ class Rib {
 };
 
 // Persistent storage for converged shard results (paper §3.1: "when this
-// round ends, we write it to persistent storage"). One file per
-// (shard, node) under a unique temp directory; files are real so the spill
-// path costs real I/O. The directory is created by the first on-disk
-// Write, so a store with in-memory spills never touches the file system.
+// round ends, we write it to persistent storage"). Each store owns one
+// append-only segment file, created under temp_directory_path() and
+// unlinked at once: writers reserve an offset and pwrite the serialized
+// batch, readers pread through an in-memory (node -> shard -> extent)
+// index. The bytes cost real I/O and stay off every MemoryTracker, and an
+// unlinked O_CLOEXEC file cannot outlive its process or leak into exec'd
+// children. Open, write and read failures throw util::SpillError.
 class RibStore {
  public:
   RibStore();
@@ -146,18 +148,6 @@ class RibStore {
   std::map<util::IpPrefix, std::vector<Route>> ReadAll(
       topo::NodeId node, AttrPool& pool) const;
 
-  // This store's own spills for `node` only — no base layer. What the
-  // incremental engine diffs against the base run's routes.
-  std::map<util::IpPrefix, std::vector<Route>> ReadOwn(
-      topo::NodeId node, AttrPool& pool) const;
-
-  // Own spills for `node` restricted to the given shard indices (no base
-  // layer): lets the incremental engine read just the shards its impact
-  // closure lives in instead of every file of the node.
-  std::map<util::IpPrefix, std::vector<Route>> ReadShards(
-      topo::NodeId node, const std::unordered_set<int>& shards,
-      AttrPool& pool) const;
-
   size_t bytes_written() const { return bytes_written_; }
   size_t routes_written() const { return routes_written_; }
 
@@ -167,66 +157,53 @@ class RibStore {
   size_t CountRoutes(const std::unordered_set<util::IpPrefix>& prefixes)
       const;
 
-  // With in-memory spills enabled (before any Write), Write keeps each
-  // (shard, node) blob in memory instead of a file — same serialized
-  // bytes, same counters, no disk round trip. The incremental engine
-  // enables this on its short-lived overlay store: a what-if run's spills
-  // never outlive the run, so durability buys nothing and the per-file
-  // create/write/read cost dominates the tiny re-simulated batches.
-  void EnableInMemorySpills() { in_memory_ = true; }
+  // Appends an already-serialized (shard, node) blob as if Write had
+  // produced it. The multi-process harness uses this to re-seed a
+  // respawned worker's store with the spills its dead predecessor shipped
+  // to the controller. Seeding does not count toward bytes/routes_written
+  // (those count real spills, and the seeded blobs were counted by the
+  // original Write in the process that produced them). Re-seeding the
+  // same (shard, node) replaces the blob.
+  void SeedBlob(int shard, topo::NodeId node,
+                const std::vector<uint8_t>& bytes);
 
-  // Installs an already-serialized (shard, node) blob as if Write had
-  // produced it, forcing in-memory mode. The multi-process harness uses
-  // this to re-seed a respawned worker's store with the spills its dead
-  // predecessor shipped to the controller. Seeding records the entry for
-  // ReadAll but does not count toward bytes/routes_written (those count
-  // real spills, and the seeded blobs were counted by the original Write
-  // in the process that produced them). Re-seeding the same (shard, node)
-  // replaces the blob without duplicating the entry.
-  void SeedBlob(int shard, topo::NodeId node, std::vector<uint8_t> bytes);
+  // Shard `shard`'s serialized blobs in node order, read back from the
+  // segment. Worker processes ship these to the controller after a spill.
+  std::map<topo::NodeId, std::vector<uint8_t>> Blobs(int shard) const;
 
-  // The in-memory blobs, keyed by (shard, node). Empty unless in-memory
-  // spills are enabled. Worker processes read this to ship their spill
-  // bytes to the controller.
-  std::map<std::pair<int, topo::NodeId>, std::vector<uint8_t>> OwnBlobs()
-      const;
-
-  // With capture enabled (before any Write), every Write also records the
-  // node's FIB projection of the batch: per prefix with a *learned* front
-  // route, the first-appearance dedup of learned_from — exactly the
-  // next-hop list dp::Fib::Build derives, and the only part of a best set
-  // the data plane consumes. Locally-originated fronts are omitted (their
-  // FIB entries follow from config alone). The incremental engine enables
-  // this on its overlay store so the rebuild diff never re-reads spills.
-  void EnableProjectionCapture() { capture_projections_ = true; }
-
-  // The captured projection for `node`, merged across its shard writes
-  // (shards hold disjoint prefixes); nullptr if nothing was captured.
+  // An overlay store records, on every Write, the node's FIB projection of
+  // the batch: per prefix with a *learned* front route, the
+  // first-appearance dedup of learned_from — exactly the next-hop list
+  // dp::Fib::Build derives, and the only part of a best set the data plane
+  // consumes. Locally-originated fronts are omitted (their FIB entries
+  // follow from config alone). The incremental engine diffs these instead
+  // of re-reading spills. Merged across the node's shard writes (shards
+  // hold disjoint prefixes); nullptr if nothing was captured, and always
+  // for a plain store.
   const std::map<util::IpPrefix, std::vector<topo::NodeId>>* Projection(
       topo::NodeId node) const;
 
  private:
-  // Merges this store's files for `node` into `out`, restricted to
-  // `shards` when non-null.
-  void ReadOwnInto(topo::NodeId node, const std::unordered_set<int>* shards,
-                   AttrPool& pool,
-                   std::map<util::IpPrefix, std::vector<Route>>& out) const;
+  struct Extent {
+    uint64_t offset = 0;
+    uint64_t size = 0;
+  };
 
-  void CreateDir();
+  // The one write path: reserves [end_, end_ + size) under the mutex,
+  // pwrites outside it, then indexes the extent as (shard, node).
+  void Append(int shard, topo::NodeId node, const std::vector<uint8_t>& bytes);
+  std::vector<uint8_t> ReadExtent(const Extent& extent) const;
 
-  // Empty until the first on-disk Write creates it (under dir_once_).
-  std::filesystem::path dir_;
-  std::once_flag dir_once_;
-  mutable std::mutex mutex_;  // guards the counters and entries_
+  int fd_ = -1;
+  std::string path_;  // the unlinked segment's name, for error messages
+  mutable std::mutex mutex_;  // guards everything below
+  uint64_t end_ = 0;
+  std::map<topo::NodeId, std::map<int, Extent>> index_;
   size_t bytes_written_ = 0;
   size_t routes_written_ = 0;
   std::map<util::IpPrefix, size_t> routes_per_prefix_;
-  bool in_memory_ = false;
-  std::map<std::pair<int, topo::NodeId>, std::vector<uint8_t>> blobs_;
-  bool capture_projections_ = false;
   std::map<topo::NodeId, std::map<util::IpPrefix, std::vector<topo::NodeId>>>
       projections_;
-  std::vector<std::pair<int, topo::NodeId>> entries_;
 
   // Overlay layer (both empty/null for a plain store).
   std::shared_ptr<const RibStore> base_;

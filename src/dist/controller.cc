@@ -174,9 +174,14 @@ void Controller::OverrideShardPlan(cp::ShardPlan plan,
   store_ = std::move(store);
 }
 
-RoundMetrics Controller::BuildDataPlanes() {
+RoundMetrics Controller::BuildDataPlanes(
+    const Worker::ReusableDataPlane* reuse) {
+  if (reuse != nullptr && options_.worker_mode == WorkerMode::kProcess) {
+    throw std::logic_error(
+        "BuildDataPlanes: incremental what-if needs in-process workers");
+  }
   obs::Span span("controller", "controller.dp_build");
-  RoundMetrics metrics = dpo_->BuildDataPlanes(store_.get());
+  RoundMetrics metrics = dpo_->BuildDataPlanes(store_.get(), reuse);
   if (injector_ != nullptr ||
       options_.worker_mode == WorkerMode::kProcess) {
     for (uint32_t w = 0; w < handles_.size(); ++w) {
@@ -185,30 +190,6 @@ RoundMetrics Controller::BuildDataPlanes() {
     }
   }
   if (injector_ != nullptr) {
-    for (uint32_t w : injector_->TakeCrashes(fault::CrashPhase::kDataPlaneBuild,
-                                             /*round=*/0)) {
-      RecoverWorker(w);
-    }
-  }
-  return metrics;
-}
-
-RoundMetrics Controller::BuildDataPlanesHybrid(
-    const std::unordered_set<topo::NodeId>& rebuild,
-    const Worker::ReusableDataPlane& reuse) {
-  if (options_.worker_mode == WorkerMode::kProcess) {
-    throw std::logic_error(
-        "BuildDataPlanesHybrid: incremental what-if needs in-process "
-        "workers");
-  }
-  obs::Span span("controller", "controller.dp_build");
-  RoundMetrics metrics =
-      dpo_->BuildDataPlanesHybrid(store_.get(), rebuild, reuse);
-  if (injector_ != nullptr) {
-    for (uint32_t w = 0; w < handles_.size(); ++w) {
-      handles_[w]->CheckpointDataPlane(checkpoints_[w]);
-      fabric_->MarkCheckpoint(w);
-    }
     for (uint32_t w : injector_->TakeCrashes(fault::CrashPhase::kDataPlaneBuild,
                                              /*round=*/0)) {
       RecoverWorker(w);

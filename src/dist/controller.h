@@ -86,15 +86,12 @@ class Controller {
   void OverrideShardPlan(cp::ShardPlan plan,
                          std::shared_ptr<cp::RibStore> store);
 
-  // Distributed FIB + predicate computation.
-  RoundMetrics BuildDataPlanes();
-
-  // Hybrid data-plane build for incremental what-if: nodes in `rebuild`
-  // recompute FIB + predicates from the spill store; every other node
-  // adopts the converged base artifacts in `reuse`.
-  RoundMetrics BuildDataPlanesHybrid(
-      const std::unordered_set<topo::NodeId>& rebuild,
-      const Worker::ReusableDataPlane& reuse);
+  // Distributed FIB + predicate computation. With `reuse` (incremental
+  // what-if; in-process workers only), nodes in reuse->rebuild recompute
+  // FIB + predicates from the spill store and every other node adopts the
+  // converged base artifacts.
+  RoundMetrics BuildDataPlanes(
+      const Worker::ReusableDataPlane* reuse = nullptr);
 
   struct QueryOutcome {
     dp::QueryResult result;

@@ -40,37 +40,21 @@ Dpo::Dpo(std::vector<std::unique_ptr<WorkerHandle>>* workers,
       cost_(cost),
       worker_options_(worker_options) {}
 
-RoundMetrics Dpo::BuildDataPlanes(const cp::RibStore* store) {
+RoundMetrics Dpo::BuildDataPlanes(const cp::RibStore* store,
+                                  const Worker::ReusableDataPlane* reuse) {
   RoundMetrics metrics;
   util::Stopwatch wall;
   pool_->ParallelFor(workers_->size(), [&](size_t w) {
     obs::Span span("dp", "dp.worker_build");
     span.Arg("worker", static_cast<int64_t>(w));
-    (*workers_)[w]->BuildDataPlane(store);
-  });
-  for (const auto& worker : *workers_) {
-    metrics.modeled_seconds =
-        std::max(metrics.modeled_seconds, worker->last_phase_seconds());
-  }
-  RecordCacheDelta(metrics, bdd::Manager::CacheStats{},
-                   SumWorkerCacheStats(*workers_));
-  metrics.wall_seconds = wall.ElapsedSeconds();
-  metrics.rounds = 1;
-  return metrics;
-}
-
-RoundMetrics Dpo::BuildDataPlanesHybrid(
-    const cp::RibStore* store, const std::unordered_set<topo::NodeId>& rebuild,
-    const Worker::ReusableDataPlane& reuse) {
-  RoundMetrics metrics;
-  util::Stopwatch wall;
-  pool_->ParallelFor(workers_->size(), [&](size_t w) {
-    obs::Span span("dp", "dp.worker_build");
-    span.Arg("worker", static_cast<int64_t>(w));
+    if (reuse == nullptr) {
+      (*workers_)[w]->BuildDataPlane(store);
+      return;
+    }
+    // Reuse is an incremental-what-if path; the facade gates it off in
+    // process mode, so the local worker is always present here.
     span.Arg("hybrid", 1);
-    // Hybrid rebuilds are an incremental-what-if path; the facade gates it
-    // off in process mode, so the local worker is always present here.
-    (*workers_)[w]->local()->BuildDataPlaneHybrid(store, rebuild, reuse);
+    (*workers_)[w]->local()->BuildDataPlane(store, reuse);
   });
   for (const auto& worker : *workers_) {
     metrics.modeled_seconds =

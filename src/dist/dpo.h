@@ -21,16 +21,12 @@ class Dpo {
       Worker::Options worker_options = {});
 
   // Parallel FIB + predicate computation (reads spilled RIBs from `store`
-  // when the CP ran sharded).
-  RoundMetrics BuildDataPlanes(const cp::RibStore* store);
-
-  // Hybrid variant for incremental what-if (core/incremental.h): nodes in
-  // `rebuild` recompute FIB + predicates from `store`; all others adopt
-  // the converged base artifacts in `reuse`.
-  RoundMetrics BuildDataPlanesHybrid(
+  // when the CP ran sharded). With `reuse` (incremental what-if,
+  // core/incremental.h), only nodes in reuse->rebuild recompute; all
+  // others adopt the converged base artifacts.
+  RoundMetrics BuildDataPlanes(
       const cp::RibStore* store,
-      const std::unordered_set<topo::NodeId>& rebuild,
-      const Worker::ReusableDataPlane& reuse);
+      const Worker::ReusableDataPlane* reuse = nullptr);
 
   struct QueryRun {
     RoundMetrics metrics;

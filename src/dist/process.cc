@@ -1112,7 +1112,7 @@ void ProcessWorkerHandle::Deliver() {
 }
 
 void ProcessWorkerHandle::SpillBgp(cp::RibStore& /*store*/, int shard) {
-  // The authoritative spill bytes live in the child's in-memory store; the
+  // The authoritative spill bytes live in the child's own store; the
   // controller-side store is bypassed (TotalBestRoutes sums the handles'
   // counts instead of its routes_written).
   CtrlFrame frame;

@@ -140,47 +140,23 @@ void Worker::NewDataPlane() {
   manager_ = std::move(manager);
 }
 
-void Worker::BuildDataPlane(const cp::RibStore* store) {
-  util::Stopwatch watch;
-  NewDataPlane();
-  for (topo::NodeId id : local_) {
-    const cp::Node& node = *nodes_.at(id);
-    std::map<util::IpPrefix, std::vector<cp::Route>> from_store;
-    const auto* bgp = &node.bgp_routes();
-    if (store != nullptr) {
-      from_store = store->ReadAll(id, attr_pool_);
-      bgp = &from_store;
-    }
-    dp::Fib fib = dp::Fib::Build(*network_, id, *bgp, node.ospf_routes(),
-                                 &tracker_);
-    fib_bytes_ += fib.EstimateBytes();
-    node_fib_bytes_[id] = fib.EstimateBytes();
-    fib_edges_[id] = fib.ForwardEdges();
-    engine_->AddNode(id,
-                     dp::BuildPredicates(*network_, id, fib, engine_->codec()));
-  }
-  predicate_seconds_ += watch.ElapsedSeconds();
-  last_phase_seconds_ = watch.ElapsedSeconds();
-}
-
-void Worker::BuildDataPlaneHybrid(
-    const cp::RibStore* store, const std::unordered_set<topo::NodeId>& rebuild,
-    const ReusableDataPlane& reuse) {
+void Worker::BuildDataPlane(const cp::RibStore* store,
+                            const ReusableDataPlane* reuse) {
   ResetDataPlane();
   util::Stopwatch watch;
   NewDataPlane();
   for (topo::NodeId id : local_) {
-    if (rebuild.count(id) == 0) {
+    if (reuse != nullptr && reuse->rebuild->count(id) == 0) {
       // The scenario provably left this node's converged FIB untouched:
       // re-encode the base run's canonical predicate bytes instead of
       // recomputing, and adopt its forward edges and FIB accounting.
       engine_->AddNode(id, fault::DeserializePredicates(
-                               *manager_, reuse.predicates->at(id)));
-      size_t bytes = reuse.fib_bytes->at(id);
+                               *manager_, reuse->predicates->at(id)));
+      size_t bytes = reuse->fib_bytes->at(id);
       tracker_.Charge(bytes);
       fib_bytes_ += bytes;
       node_fib_bytes_[id] = bytes;
-      fib_edges_[id] = reuse.fib_edges->at(id);
+      fib_edges_[id] = reuse->fib_edges->at(id);
       continue;
     }
     const cp::Node& node = *nodes_.at(id);

@@ -69,14 +69,12 @@ class Worker {
   void RetainBgp();
 
   // --------------------------------------------------- data plane (DPO)
-  // Builds FIBs and port predicates for local nodes. Reads converged BGP
-  // routes from `store` when sharding spilled them, else from the nodes.
-  void BuildDataPlane(const cp::RibStore* store);
-
   // Converged per-node artifacts an incremental what-if run adopts
   // verbatim for nodes its scenario provably leaves untouched
-  // (core/incremental.h). All three maps must cover every reused node.
+  // (core/incremental.h): every local node outside `rebuild`. The three
+  // artifact maps must cover every reused node.
   struct ReusableDataPlane {
+    const std::unordered_set<topo::NodeId>* rebuild = nullptr;
     // Canonical predicate bytes (fault::SerializePredicates).
     const std::map<topo::NodeId, std::vector<uint8_t>>* predicates = nullptr;
     const std::map<topo::NodeId,
@@ -85,14 +83,14 @@ class Worker {
     const std::map<topo::NodeId, size_t>* fib_bytes = nullptr;
   };
 
-  // Like BuildDataPlane, but only local nodes in `rebuild` recompute FIB +
-  // predicates from `store`; every other local node re-encodes `reuse`'s
-  // predicate bytes into the fresh domain (byte-equal predicates mean
-  // byte-equal forwarding) and adopts its forward edges and FIB
-  // accounting. Replaces any existing data plane.
-  void BuildDataPlaneHybrid(const cp::RibStore* store,
-                            const std::unordered_set<topo::NodeId>& rebuild,
-                            const ReusableDataPlane& reuse);
+  // Builds FIBs and port predicates for local nodes, replacing any
+  // existing data plane. Reads converged BGP routes from `store` when
+  // sharding spilled them, else from the nodes. With `reuse`, a local node
+  // outside reuse->rebuild instead re-encodes the base run's predicate
+  // bytes into the fresh domain (byte-equal predicates mean byte-equal
+  // forwarding) and adopts its forward edges and FIB accounting.
+  void BuildDataPlane(const cp::RibStore* store,
+                      const ReusableDataPlane* reuse = nullptr);
 
   // Installs a query: waypoint write rules and injections at local
   // sources. Clears any previous query's runtime state.
@@ -140,9 +138,6 @@ class Worker {
     return node_fib_bytes_;
   }
 
-  // Frees data-plane state (between experiments).
-  void ResetDataPlane();
-
   // -------------------------------------------- crash recovery (src/fault)
   // Snapshots this worker's control-plane state at a barrier. `shard` is
   // the active shard index (-1 = none); the caller stamps fabric_round.
@@ -185,6 +180,9 @@ class Worker {
  private:
   bool ComputeAndShipImpl(bool suppress_remote);
   void DeliverBatch(std::vector<Message> messages);
+  // Frees the data-plane state and releases its FIB accounting (a no-op
+  // on a worker without a data plane).
+  void ResetDataPlane();
   // Replaces the data-plane domain with a fresh, empty one.
   void NewDataPlane();
 

@@ -80,9 +80,8 @@ void InitState(ChildState& state, const WorkerInitSpec& spec) {
     state.plan = cp::BuildShardPlan(*state.network, spec.num_shards,
                                     spec.seed);
     cp::RepairShardPlan(*state.network, *state.plan);
+    state.store = std::make_shared<cp::RibStore>();
   }
-  state.store = std::make_shared<cp::RibStore>();
-  state.store->EnableInMemorySpills();
   state.fabric = std::make_unique<SidecarFabric>(spec.num_workers,
                                                  spec.assignment);
   state.worker_options.memory_budget = spec.memory_budget;
@@ -120,10 +119,11 @@ void Restore(ChildState& state, const WorkerRestoreSpec& spec) {
   // Fresh store seeded with the dead predecessor's spills, fresh worker
   // restored from the checkpoint — exactly what a cold process would have
   // held at the barrier — then the lost rounds replayed.
-  state.store = std::make_shared<cp::RibStore>();
-  state.store->EnableInMemorySpills();
-  for (const SpillBlob& blob : spec.spills) {
-    state.store->SeedBlob(blob.shard, blob.node, blob.bytes);
+  if (state.plan) {
+    state.store = std::make_shared<cp::RibStore>();
+    for (const SpillBlob& blob : spec.spills) {
+      state.store->SeedBlob(blob.shard, blob.node, blob.bytes);
+    }
   }
   state.worker = std::make_unique<Worker>(state.spec.index, *state.network,
                                           state.fabric.get(),
@@ -242,14 +242,15 @@ int RunWorker(int fd, uint32_t index, int heartbeat_ms) {
         }
         case WorkerCommand::kSpillBgp: {
           Worker& w = need_worker();
+          if (state.store == nullptr) {
+            throw std::runtime_error("spill without a shard plan");
+          }
           size_t routes_before = state.store->routes_written();
           w.SpillBgp(*state.store, frame.shard);
           response.aux = state.store->routes_written() - routes_before;
           std::vector<SpillBlob> blobs;
-          for (auto& [key, bytes] : state.store->OwnBlobs()) {
-            if (key.first != frame.shard) continue;
-            blobs.push_back(SpillBlob{key.first, key.second,
-                                      std::move(bytes)});
+          for (auto& [node, bytes] : state.store->Blobs(frame.shard)) {
+            blobs.push_back(SpillBlob{frame.shard, node, std::move(bytes)});
           }
           response.payload = EncodeSpillBlobs(blobs);
           break;
@@ -258,8 +259,7 @@ int RunWorker(int fd, uint32_t index, int heartbeat_ms) {
           need_worker().RetainBgp();
           break;
         case WorkerCommand::kBuildDataPlane:
-          need_worker().BuildDataPlane(
-              state.plan ? state.store.get() : nullptr);
+          need_worker().BuildDataPlane(state.store.get());
           break;
         case WorkerCommand::kSnapshotPredicates:
           response.payload =

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -59,6 +60,17 @@ class WorkerLost : public std::runtime_error {
 
  private:
   uint32_t worker_;
+};
+
+// Thrown by the spill store (cp::RibStore) when its segment file cannot be
+// created, written or read. Verifier facades catch this and report a
+// spill-failure verdict instead of crashing the run.
+class SpillError : public std::runtime_error {
+ public:
+  SpillError(const std::string& op, const std::string& path, int error)
+      : std::runtime_error("spill " + op + " failed on '" + path +
+                           "': " + std::strerror(error) + " (errno " +
+                           std::to_string(error) + ")") {}
 };
 
 // Thrown by the wire deserializers (cp/route.cc, dist/message.cc,

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -467,20 +468,50 @@ TEST(ProcessWorkers, MissingSourceTextsIsRejected) {
   EXPECT_THROW(controller.Setup(), std::runtime_error);
 }
 
-// Spill-directory hygiene: s2_worker children spill in memory and exit
-// through _Exit, and an incremental what-if spills into an in-memory
-// overlay store, so neither may leave an s2-ribstore-* directory behind.
-// TMPDIR points at a private directory (children inherit it) so only this
-// test's residue is counted.
+// A private TMPDIR for the scope (children inherit it), so a test counts
+// only its own spill residue. Restores the previous TMPDIR on exit.
+class PrivateTmpdir {
+ public:
+  PrivateTmpdir() {
+    path_ = (std::filesystem::temp_directory_path() /
+             "s2-spill-hygiene-XXXXXX")
+                .string();
+    if (mkdtemp(path_.data()) == nullptr) path_.clear();
+    if (const char* previous = std::getenv("TMPDIR")) saved_ = previous;
+    setenv("TMPDIR", path_.c_str(), 1);
+  }
+  ~PrivateTmpdir() {
+    if (saved_) {
+      setenv("TMPDIR", saved_->c_str(), 1);
+    } else {
+      unsetenv("TMPDIR");
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+
+  const std::string& path() const { return path_; }
+
+  // Every entry the directory holds.
+  std::vector<std::string> Entries() const {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(path_)) {
+      names.push_back(entry.path().filename().string());
+    }
+    return names;
+  }
+
+ private:
+  std::string path_;
+  std::optional<std::string> saved_;
+};
+
+// Spill hygiene: s2_worker children exit through _Exit and an incremental
+// what-if spills into an overlay store, so neither may leave an
+// s2-ribstore-* entry behind.
 TEST(ProcessWorkers, NoSpillDirectoryOutlivesTheRun) {
-  namespace fs = std::filesystem;
-  std::string dir =
-      (fs::temp_directory_path() / "s2-spill-hygiene-XXXXXX").string();
-  ASSERT_NE(mkdtemp(dir.data()), nullptr);
-  const char* previous = std::getenv("TMPDIR");
-  std::optional<std::string> saved;
-  if (previous != nullptr) saved = previous;
-  setenv("TMPDIR", dir.c_str(), 1);
+  PrivateTmpdir tmp;
+  ASSERT_FALSE(tmp.path().empty());
   {
     config::ParsedNetwork net = DefaultDcn();
     dp::Query query = EdgeQuery(net);
@@ -496,19 +527,110 @@ TEST(ProcessWorkers, NoSpillDirectoryOutlivesTheRun) {
     ASSERT_TRUE(whatif.has_value());
     EXPECT_TRUE(whatif->result.ok()) << whatif->result.failure_detail;
   }
-  if (saved) {
-    setenv("TMPDIR", saved->c_str(), 1);
-  } else {
-    unsetenv("TMPDIR");
-  }
   std::vector<std::string> residue;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    std::string name = entry.path().filename().string();
+  for (const std::string& name : tmp.Entries()) {
     if (name.rfind("s2-ribstore-", 0) == 0) residue.push_back(name);
   }
-  fs::remove_all(dir);
   EXPECT_TRUE(residue.empty()) << residue.size() << " entries left, first "
                                << (residue.empty() ? "" : residue.front());
+}
+
+// A forked child spills one blob into a RibStore and dies without running
+// any destructor — via _Exit(0) or SIGKILL. The segment was unlinked when
+// the store opened it, so the directory is empty either way.
+void SpillAndDie(bool sigkill) {
+  PrivateTmpdir tmp;
+  ASSERT_FALSE(tmp.path().empty());
+  cp::AttrPool pool;
+  cp::Route route;
+  route.prefix = util::MustParsePrefix("10.0.0.0/24");
+  route.protocol = cp::Protocol::kBgp;
+  route.attrs = pool.Intern(cp::AttrTuple{});
+  route.learned_from = 1;
+  std::map<util::IpPrefix, std::vector<cp::Route>> best;
+  best[route.prefix] = {route};
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    auto* store = new cp::RibStore();  // never destroyed
+    store->Write(0, 1, best);
+    if (sigkill) raise(SIGKILL);
+    _Exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  if (sigkill) {
+    ASSERT_TRUE(WIFSIGNALED(status));
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  } else {
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+  }
+  std::vector<std::string> entries = tmp.Entries();
+  EXPECT_TRUE(entries.empty()) << entries.size() << " entries left, first "
+                               << (entries.empty() ? "" : entries.front());
+}
+
+TEST(ProcessWorkers, ExitWithoutDestructorsLeavesNoSpillResidue) {
+  SpillAndDie(/*sigkill=*/false);
+}
+
+TEST(ProcessWorkers, SigkilledSpillerLeavesNoSpillResidue) {
+  SpillAndDie(/*sigkill=*/true);
+}
+
+// Targets of the /proc/<pid>/fd links of `pid` that name spill segments.
+std::set<std::string> SpillSegmentFds(const std::string& pid) {
+  std::set<std::string> segments;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/" + pid + "/fd", ec)) {
+    std::string target =
+        std::filesystem::read_symlink(entry.path(), ec).string();
+    if (!ec && target.find("s2-ribstore-") != std::string::npos) {
+      segments.insert(target);
+    }
+  }
+  return segments;
+}
+
+// A process-mode sharded run with worker 1 SIGKILLed between phases (as in
+// SigkillBetweenPhasesConverges): the controller's spill segment is
+// O_CLOEXEC, so no spawned s2_worker — first generation or respawned —
+// holds it open, and once the run is torn down the private TMPDIR is
+// empty.
+TEST(ProcessWorkers, SigkilledShardedRunLeavesNoSpillResidue) {
+  PrivateTmpdir tmp;
+  ASSERT_FALSE(tmp.path().empty());
+  {
+    config::ParsedNetwork net = DefaultDcn();
+    dp::Query query = EdgeQuery(net);
+    dist::Controller controller(net, BaseOptions(3, 4, WorkerMode::kProcess));
+    controller.Setup();
+    controller.RunControlPlane();
+    auto* handle = dynamic_cast<ProcessWorkerHandle*>(&controller.handle(1));
+    ASSERT_NE(handle, nullptr);
+    ASSERT_GT(handle->child_pid(), 0);
+    ASSERT_EQ(kill(handle->child_pid(), SIGKILL), 0);
+    controller.BuildDataPlanes();
+    dist::Controller::QueryOutcome outcome = controller.RunQuery(query);
+    EXPECT_GT(outcome.result.reachable_pairs, 0u);
+    EXPECT_GE(controller.worker_recoveries(), 1u);
+
+    std::set<std::string> own = SpillSegmentFds("self");
+    ASSERT_FALSE(own.empty()) << "the sharded controller holds no segment";
+    std::vector<int> children = FindWorkerChildren();
+    EXPECT_EQ(children.size(), 3u);
+    for (int pid : children) {
+      for (const std::string& target : SpillSegmentFds(std::to_string(pid))) {
+        EXPECT_EQ(own.count(target), 0u)
+            << "s2_worker " << pid << " inherited " << target;
+      }
+    }
+  }
+  std::vector<std::string> entries = tmp.Entries();
+  EXPECT_TRUE(entries.empty()) << entries.size() << " entries left, first "
+                               << (entries.empty() ? "" : entries.front());
 }
 
 }  // namespace

@@ -1,9 +1,18 @@
 // Prefix sharding tests (§4.5): universe collection with redistribution
 // closure, DPDG dependency grouping, greedy balance with equal-size
 // shuffling, the runtime merge fallback, and end-to-end equivalence on the
-// DCN (aggregates + conditional advertisements).
+// DCN (aggregates + conditional advertisements), and spill-store failure
+// as a verdict.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <optional>
+
+#include "core/mono.h"
+#include "core/s2.h"
 #include "cp/engine.h"
 #include "cp/shard.h"
 #include "test_networks.h"
@@ -302,6 +311,95 @@ TEST_P(ShardEquivalenceTest, DcnShardedMatchesUnsharded) {
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardEquivalenceTest,
                          ::testing::Values(2, 3, 7, 16));
+
+// An unusable spill location — TMPDIR naming a regular file — makes both
+// sharded verifiers, and a what-if over a converged sharded run, return a
+// kSpillFailed verdict (path and errno in the detail) instead of crashing
+// or throwing.
+TEST(SpillFailureTest, UnusableTmpdirIsASpillFailedVerdict) {
+  namespace fs = std::filesystem;
+  auto parsed = testing::Parse(topo::MakeDcn(topo::DcnParams{}));
+  dist::ControllerOptions s2_options;
+  s2_options.num_workers = 2;
+  s2_options.num_shards = 4;
+  core::S2Verifier converged(s2_options);
+  ASSERT_TRUE(converged.Verify(parsed, {}).ok());
+
+  std::string file =
+      (fs::temp_directory_path() / "s2-not-a-dir-XXXXXX").string();
+  int fd = mkstemp(file.data());
+  ASSERT_GE(fd, 0);
+  close(fd);
+  std::optional<std::string> saved;
+  if (const char* previous = std::getenv("TMPDIR")) saved = previous;
+  setenv("TMPDIR", file.c_str(), 1);
+
+  core::VerifyResult s2 = core::S2Verifier(s2_options).Verify(parsed, {});
+  core::MonoOptions mono_options;
+  mono_options.num_shards = 4;
+  core::VerifyResult mono =
+      core::MonoVerifier(mono_options).Verify(parsed, {});
+  const topo::Edge& edge = parsed.graph.edge(0);
+  std::optional<core::IncrementalResult> whatif =
+      converged.VerifyIncremental(core::RemoveLinkScenario(edge.a, edge.b));
+
+  if (saved) {
+    setenv("TMPDIR", saved->c_str(), 1);
+  } else {
+    unsetenv("TMPDIR");
+  }
+  fs::remove(file);
+  ASSERT_TRUE(whatif.has_value());
+  for (const core::VerifyResult* result : {&s2, &mono, &whatif->result}) {
+    EXPECT_EQ(result->status, core::RunStatus::kSpillFailed);
+    EXPECT_NE(result->failure_detail.find(file), std::string::npos)
+        << result->failure_detail;
+    EXPECT_NE(result->failure_detail.find("errno"), std::string::npos)
+        << result->failure_detail;
+  }
+  EXPECT_STREQ(core::RunStatusName(core::RunStatus::kSpillFailed),
+               "spill_failed");
+}
+
+// A spill segment that no longer holds its bytes makes every read a short
+// read. Truncating the converged run's segment (reopened through
+// /proc/self/fd: it is unlinked) turns a what-if's impact-closure read of
+// the base spills into a kSpillFailed verdict, not an escaping exception.
+TEST(SpillFailureTest, UnreadableBaseSpillIsASpillFailedVerdict) {
+  namespace fs = std::filesystem;
+  auto parsed = testing::Parse(topo::MakeDcn(topo::DcnParams{}));
+  dist::ControllerOptions options;
+  options.num_workers = 2;
+  options.num_shards = 4;
+  core::S2Verifier converged(options);
+  ASSERT_TRUE(converged.Verify(parsed, {}).ok());
+
+  int truncated = 0;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    fs::path target = fs::read_symlink(entry.path(), ec);
+    if (ec ||
+        target.filename().string().rfind("s2-ribstore-", 0) != 0) {
+      continue;
+    }
+    int fd = open(entry.path().c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0) << target;
+    ASSERT_EQ(ftruncate(fd, 0), 0);
+    close(fd);
+    ++truncated;
+  }
+  ASSERT_GE(truncated, 1);
+
+  const topo::Edge& edge = parsed.graph.edge(0);
+  std::optional<core::IncrementalResult> whatif =
+      converged.VerifyIncremental(core::RemoveLinkScenario(edge.a, edge.b));
+  ASSERT_TRUE(whatif.has_value());
+  EXPECT_EQ(whatif->result.status, core::RunStatus::kSpillFailed);
+  EXPECT_NE(whatif->result.failure_detail.find("spill read failed"),
+            std::string::npos)
+      << whatif->result.failure_detail;
+}
 
 }  // namespace
 }  // namespace s2::cp
