@@ -8,6 +8,7 @@
 // fans out across all workers (Fig 11 discussion).
 #include "bench_util.h"
 #include "query_service_bench.h"
+#include "util/stopwatch.h"
 
 using namespace s2;
 using namespace s2::bench;
@@ -70,7 +71,9 @@ std::string VerdictSummary(const dp::QueryResult& result) {
 // single-pair queries over one FatTree, run through Dpo::RunQueries.
 // Speedup is modeled (DESIGN.md §3 — this box has 1 core): per-query busy
 // is thread-CPU time; sequential cost is the sum, parallel cost the LPT
-// makespan over 8 query lanes. Exit status is nonzero if the modeled
+// makespan over 8 query lanes. Measured wall time of both paths is
+// printed next to it (on a box with fewer cores than lanes the executor
+// path can be the slower one). Exit status is nonzero if the modeled
 // speedup falls below 1.5x or any parallel verdict disagrees with the
 // sequential oracle.
 int RunMultiQueryMode() {
@@ -109,11 +112,15 @@ int RunMultiQueryMode() {
 
   // Sequential oracle first: the classic per-query fabric rounds.
   std::vector<std::string> seq_verdicts;
+  util::Stopwatch seq_watch;
   for (const dp::Query& query : queries) {
     seq_verdicts.push_back(VerdictSummary(controller.RunQuery(query).result));
   }
+  double seq_wall = seq_watch.ElapsedSeconds();
 
+  util::Stopwatch par_watch;
   dist::Controller::MultiQueryOutcome multi = controller.RunQueries(queries);
+  double par_wall = par_watch.ElapsedSeconds();
   double seq_modeled = 0;
   bool verdicts_match = true;
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -136,6 +143,10 @@ int RunMultiQueryMode() {
   std::printf("%-34s %s\n", "modeled parallel (LPT makespan):",
               core::HumanSeconds(par_modeled).c_str());
   std::printf("%-34s %.2fx\n", "modeled speedup:", speedup);
+  std::printf("%-34s %s\n", "measured sequential (RunQuery):",
+              core::HumanSeconds(seq_wall).c_str());
+  std::printf("%-34s %s\n", "measured parallel (RunQueries):",
+              core::HumanSeconds(par_wall).c_str());
   std::printf("%-34s hits=%zu misses=%zu evictions=%zu\n", "bdd op-cache:",
               multi.aggregate.bdd_cache_hits,
               multi.aggregate.bdd_cache_misses,
@@ -157,13 +168,15 @@ int RunMultiQueryMode() {
         "  \"modeled_sequential_seconds\": %.6f,\n"
         "  \"modeled_parallel_seconds\": %.6f,\n"
         "  \"modeled_speedup\": %.3f,\n"
+        "  \"measured_sequential_seconds\": %.6f,\n"
+        "  \"measured_parallel_seconds\": %.6f,\n"
         "  \"bdd_cache_hits\": %zu,\n"
         "  \"bdd_cache_misses\": %zu,\n"
         "  \"bdd_cache_evictions\": %zu,\n"
         "  \"verdicts_match_sequential\": %s\n"
         "}\n",
         kFatTreeK, kQueryLanes, queries.size(), seq_modeled, par_modeled,
-        speedup, multi.aggregate.bdd_cache_hits,
+        speedup, seq_wall, par_wall, multi.aggregate.bdd_cache_hits,
         multi.aggregate.bdd_cache_misses,
         multi.aggregate.bdd_cache_evictions,
         verdicts_match ? "true" : "false");

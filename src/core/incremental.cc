@@ -46,34 +46,9 @@ config::ParsedNetwork ApplyScenario(const config::ParsedNetwork& network,
   return network;  // unreachable
 }
 
-IncrementalBase MakeIncrementalBase(const dist::Controller& controller,
-                                    std::vector<dp::Query> queries,
-                                    std::vector<dp::QueryResult> results) {
-  IncrementalBase base;
-  base.network =
-      std::make_shared<const config::ParsedNetwork>(controller.network());
-  base.options = controller.options();
-  base.rib_spills = controller.rib_store();
-  base.plan = controller.shard_plan();
-  for (size_t w = 0; w < controller.num_workers(); ++w) {
-    const dist::Worker& worker = controller.worker(w);
-    if (!worker.has_data_plane()) continue;
-    std::map<topo::NodeId, std::vector<uint8_t>> predicates =
-        worker.SnapshotPredicates();
-    base.predicates.insert(predicates.begin(), predicates.end());
-    base.fib_edges.insert(worker.fib_edges().begin(),
-                          worker.fib_edges().end());
-    base.fib_bytes.insert(worker.node_fib_bytes().begin(),
-                          worker.node_fib_bytes().end());
-  }
-  base.total_best_routes = controller.TotalBestRoutes();
-  base.queries = std::move(queries);
-  base.results = std::move(results);
-  return base;
-}
-
-IncrementalResult VerifyIncremental(const IncrementalBase& base,
-                                    const Scenario& scenario) {
+IncrementalResult VerifyIncremental(
+    const svc::Snapshot& base, const std::vector<dp::Query>& queries,
+    const std::vector<dp::QueryResult>& results, const Scenario& scenario) {
   obs::Span total_span("incremental", "incremental.verify");
   IncrementalResult out;
   IncrementalStats& stats = out.stats;
@@ -82,7 +57,7 @@ IncrementalResult VerifyIncremental(const IncrementalBase& base,
   const topo::NodeId num_nodes =
       static_cast<topo::NodeId>(net.configs.size());
   stats.nodes_total = num_nodes;
-  stats.queries_total = base.queries.size();
+  stats.queries_total = queries.size();
 
   // ------------------------------------------------------------- fallback
   // Conditions under which the impact bound does not hold and the scenario
@@ -97,15 +72,15 @@ IncrementalResult VerifyIncremental(const IncrementalBase& base,
     reason = "config edit carries no impact bound";
   } else if (any_ospf) {
     reason = "OSPF recomputes globally";
-  } else if (base.rib_spills == nullptr || !base.plan.has_value() ||
-             base.plan->empty()) {
+  } else if (base.rib_spills == nullptr || !base.shard_plan.has_value() ||
+             base.shard_plan->empty()) {
     reason = "base run has no converged shard spills";
-  } else if (base.queries.size() != base.results.size()) {
+  } else if (queries.size() != results.size()) {
     reason = "base query results incomplete";
   } else {
     for (topo::NodeId id = 0; id < num_nodes; ++id) {
       if (base.predicates.count(id) == 0 || base.fib_edges.count(id) == 0 ||
-          base.fib_bytes.count(id) == 0) {
+          base.node_fib_bytes.count(id) == 0) {
         reason = "base data-plane artifacts incomplete";
         break;
       }
@@ -271,7 +246,7 @@ IncrementalResult VerifyIncremental(const IncrementalBase& base,
     reuse.rebuild = &rebuild;
     reuse.predicates = &base.predicates;
     reuse.fib_edges = &base.fib_edges;
-    reuse.fib_bytes = &base.fib_bytes;
+    reuse.fib_bytes = &base.node_fib_bytes;
     result.dp_build = controller.BuildDataPlanes(&reuse);
 
     // Serialize only the rebuilt nodes' predicates; a reused node's bytes
@@ -280,9 +255,8 @@ IncrementalResult VerifyIncremental(const IncrementalBase& base,
     phase_span.emplace("incremental", "incremental.snapshot");
     for (size_t w = 0; w < controller.num_workers(); ++w) {
       const dist::Worker& worker = controller.worker(w);
-      std::map<topo::NodeId, std::vector<uint8_t>> predicates =
-          worker.SnapshotPredicates(fallback ? nullptr : &rebuild);
-      out.predicates.insert(predicates.begin(), predicates.end());
+      out.predicates.merge(
+          worker.SnapshotPredicates(fallback ? nullptr : &rebuild));
       out.fib_bytes.insert(worker.node_fib_bytes().begin(),
                            worker.node_fib_bytes().end());
     }
@@ -310,90 +284,40 @@ IncrementalResult VerifyIncremental(const IncrementalBase& base,
 
     // --------------------------------------------------- query admission
     // A base verdict stays valid iff no node a query packet can visit
-    // changed forwarding. BFS the post-scenario forward-edge index from
-    // the query's sources, pruned to edges a packet of the query's
-    // destination space can actually take under longest-prefix match: on
-    // any base trajectory, the first changed node is preceded only by
-    // unchanged nodes — whose post-scenario edges equal their base edges —
-    // so the BFS provably reaches it.
-    //
-    // The LPM refinement: for a dst space D, entries strictly inside D can
-    // each win for some address, but among entries *containing* D only the
-    // longest present at a node can ever be the match (every address of D
-    // matches all of them, and anything longer that also matches lies
-    // inside D). Following shorter covering entries — aggregates, default
-    // routes — would fan the cone across the whole fabric and admit
-    // nothing.
-    std::map<topo::NodeId, const std::vector<
-                               std::pair<util::IpPrefix, topo::NodeId>>*>
-        post_edges;
-    for (size_t w = 0; w < controller.num_workers(); ++w) {
-      for (const auto& [id, edges] : controller.worker(w).fib_edges()) {
-        post_edges[id] = &edges;
-      }
-    }
+    // changed forwarding. The query's forward cone over the post-scenario
+    // edges reaches every such node: on any base trajectory, the first
+    // changed node is preceded only by unchanged nodes — whose
+    // post-scenario edges equal their base edges — so the cone provably
+    // contains it.
+    const std::vector<uint32_t>& post_worker_of =
+        controller.partition().assignment;
+    auto post_edges = [&](topo::NodeId id) -> const dp::ForwardEdgeList* {
+      const auto& edges = controller.worker(post_worker_of[id]).fib_edges();
+      auto it = edges.find(id);
+      return it == edges.end() ? nullptr : &it->second;
+    };
     phase_span.emplace("incremental", "incremental.admission");
-    std::vector<bool> rerun(base.queries.size(), true);
+    std::vector<bool> rerun(queries.size(), true);
     if (!fallback) {
-      for (size_t i = 0; i < base.queries.size(); ++i) {
-        const dp::Query& query = base.queries[i];
-        std::set<topo::NodeId> visited;
-        std::vector<topo::NodeId> frontier;
-        for (topo::NodeId src : query.sources) {
-          if (src < num_nodes && visited.insert(src).second) {
-            frontier.push_back(src);
-          }
-        }
-        bool touches_changed = false;
-        while (!frontier.empty() && !touches_changed) {
-          topo::NodeId at = frontier.back();
-          frontier.pop_back();
-          if (changed.count(at) != 0) {
-            touches_changed = true;
-            break;
-          }
-          auto it = post_edges.find(at);
-          if (it == post_edges.end()) continue;
-          const std::optional<util::IpPrefix>& dst = query.header_space.dst;
-          int longest_cover = -1;
-          if (dst.has_value()) {
-            for (const auto& [prefix, next] : *it->second) {
-              if (prefix.Contains(*dst)) {
-                longest_cover =
-                    std::max(longest_cover, static_cast<int>(prefix.length()));
-              }
-            }
-          }
-          for (const auto& [prefix, next] : *it->second) {
-            if (dst.has_value()) {
-              if (prefix.Contains(*dst)) {
-                // Covers every address of D: wins only if no containing
-                // entry at this node is longer.
-                if (static_cast<int>(prefix.length()) != longest_cover) {
-                  continue;
-                }
-              } else if (!dst->Contains(prefix)) {
-                continue;  // disjoint from D
-              }
-              // else strictly inside D: wins for its own addresses.
-            }
-            if (visited.insert(next).second) frontier.push_back(next);
-          }
-        }
-        rerun[i] = touches_changed;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        std::vector<char> cone =
+            dp::ForwardCone(num_nodes, queries[i].sources,
+                            queries[i].header_space.dst, post_edges);
+        rerun[i] = std::any_of(changed.begin(), changed.end(),
+                               [&](topo::NodeId id) { return cone[id]; });
       }
     }
     phase_span.reset();
 
     phase_span.emplace("incremental", "incremental.queries");
-    for (size_t i = 0; i < base.queries.size(); ++i) {
+    for (size_t i = 0; i < queries.size(); ++i) {
       if (!rerun[i]) {
-        result.queries.push_back(base.results[i]);
+        result.queries.push_back(results[i]);
         ++stats.queries_reused;
         continue;
       }
       dist::Controller::QueryOutcome outcome =
-          controller.RunQuery(base.queries[i]);
+          controller.RunQuery(queries[i]);
       result.dp_forward.Add(outcome.metrics);
       result.comm_bytes += outcome.gather_bytes;
       result.forwarding_steps = outcome.forwarding_steps;

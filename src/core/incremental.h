@@ -14,9 +14,13 @@
 // its spills overlaid on the base run's (cp::RibStore overlay). FIBs are
 // rebuilt only for nodes whose converged routes or interfaces changed;
 // every other node re-encodes its canonical predicate bytes verbatim.
-// Queries re-run only if a BFS over the post-scenario forward-edge index
-// (the svc admission index) can reach a node whose predicates changed;
-// all others reuse their base verdicts.
+// Queries re-run only if their forward cone over the post-scenario
+// forward-edge index (dp::ForwardCone, the cone the query service scopes
+// admission with) reaches a node whose predicates changed; all others
+// reuse their base verdicts.
+//
+// The converged base is a svc::Snapshot — the same capture the query
+// service serves from — read by reference: nothing is copied per what-if.
 //
 // Soundness is pinned, not assumed: tests/incremental_test.cc runs a
 // scenario-randomizing differential suite proving verdicts, per-node
@@ -29,14 +33,12 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/results.h"
 #include "core/whatif.h"
-#include "cp/shard.h"
-#include "dist/controller.h"
+#include "svc/snapshot.h"
 
 namespace s2::core {
 
@@ -58,32 +60,6 @@ Scenario ConfigEditScenario(config::ParsedNetwork edited);
 // The edited model (core/whatif.h dispatch).
 config::ParsedNetwork ApplyScenario(const config::ParsedNetwork& network,
                                     const Scenario& scenario);
-
-// Everything the incremental engine needs from a converged base run. Built
-// from a live controller (MakeIncrementalBase) or from a published
-// snapshot (svc::ToIncrementalBase).
-struct IncrementalBase {
-  std::shared_ptr<const config::ParsedNetwork> network;
-  dist::ControllerOptions options;  // the base run's options
-  // Converged per-shard spills + the plan that produced them. Null/absent
-  // for an unsharded base (forces the whole-network fallback).
-  std::shared_ptr<const cp::RibStore> rib_spills;
-  std::optional<cp::ShardPlan> plan;
-  // Flattened per-node converged data-plane artifacts.
-  std::map<topo::NodeId, std::vector<uint8_t>> predicates;
-  std::map<topo::NodeId,
-           std::vector<std::pair<util::IpPrefix, topo::NodeId>>>
-      fib_edges;
-  std::map<topo::NodeId, size_t> fib_bytes;
-  size_t total_best_routes = 0;
-  // The base run's queries and their results, index-aligned.
-  std::vector<dp::Query> queries;
-  std::vector<dp::QueryResult> results;
-};
-
-IncrementalBase MakeIncrementalBase(const dist::Controller& controller,
-                                    std::vector<dp::Query> queries,
-                                    std::vector<dp::QueryResult> results);
 
 struct IncrementalStats {
   size_t universe_prefixes = 0;  // BGP prefix universe of the base network
@@ -111,11 +87,14 @@ struct IncrementalResult {
   std::map<topo::NodeId, size_t> fib_bytes;
 };
 
-// Re-verifies `base` under `scenario`, re-simulating only the DPDG closure
-// of the impacted prefixes, rebuilding only changed FIBs, and re-running
-// only queries that can observe a changed node. `base.network` must be
-// set; queries and results must be index-aligned.
-IncrementalResult VerifyIncremental(const IncrementalBase& base,
-                                    const Scenario& scenario);
+// Re-verifies the converged run `base` under `scenario`, re-simulating
+// only the DPDG closure of the impacted prefixes, rebuilding only changed
+// FIBs, and re-running only queries that can observe a changed node.
+// `queries` are the base run's queries and `results` their base verdicts,
+// index-aligned (a size mismatch re-verifies everything); `base.network`
+// must be set.
+IncrementalResult VerifyIncremental(
+    const svc::Snapshot& base, const std::vector<dp::Query>& queries,
+    const std::vector<dp::QueryResult>& results, const Scenario& scenario);
 
 }  // namespace s2::core

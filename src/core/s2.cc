@@ -28,7 +28,7 @@ VerifyResult S2Verifier::Verify(config::ParsedNetwork network,
   VerifyResult result;
   last_queries_ = queries;
   last_results_.clear();
-  incremental_base_.reset();
+  snapshot_.reset();
   controller_ =
       std::make_unique<dist::Controller>(std::move(network), options_);
   try {
@@ -106,37 +106,34 @@ VerifyResult S2Verifier::Verify(config::ParsedNetwork network,
   return result;
 }
 
-std::optional<IncrementalResult> S2Verifier::VerifyIncremental(
-    const Scenario& scenario) const {
-  if (!controller_) return std::nullopt;
-  // Incremental what-if reads rich in-process worker state (RIBs, FIB
-  // engines) the process-mode control channel doesn't expose.
+const svc::Snapshot* S2Verifier::ConvergedSnapshot() const {
+  if (snapshot_) return &*snapshot_;
+  if (!controller_ || controller_->num_workers() == 0) return nullptr;
+  // Capture walks in-process worker state (predicates, FIB edges, RIBs)
+  // that the process-mode control channel doesn't expose.
   if (controller_->options().worker_mode != dist::WorkerMode::kInProcess) {
-    return std::nullopt;
+    return nullptr;
   }
   for (size_t w = 0; w < controller_->num_workers(); ++w) {
-    if (!controller_->worker(w).has_data_plane()) return std::nullopt;
+    if (!controller_->worker(w).has_data_plane()) return nullptr;
   }
-  if (controller_->num_workers() == 0) return std::nullopt;
+  snapshot_ = svc::CaptureSnapshot(*controller_);
+  return &*snapshot_;
+}
+
+std::optional<IncrementalResult> S2Verifier::VerifyIncremental(
+    const Scenario& scenario) const {
   if (last_queries_.size() != last_results_.size()) return std::nullopt;
-  if (!incremental_base_.has_value()) {
-    incremental_base_ =
-        MakeIncrementalBase(*controller_, last_queries_, last_results_);
-  }
-  return core::VerifyIncremental(*incremental_base_, scenario);
+  const svc::Snapshot* snapshot = ConvergedSnapshot();
+  if (snapshot == nullptr) return std::nullopt;
+  return core::VerifyIncremental(*snapshot, last_queries_, last_results_,
+                                 scenario);
 }
 
 std::optional<svc::Snapshot> S2Verifier::ExportSnapshot() const {
-  if (!controller_) return std::nullopt;
-  // Snapshot capture walks in-process worker predicate state directly.
-  if (controller_->options().worker_mode != dist::WorkerMode::kInProcess) {
-    return std::nullopt;
-  }
-  for (size_t w = 0; w < controller_->num_workers(); ++w) {
-    if (!controller_->worker(w).has_data_plane()) return std::nullopt;
-  }
-  if (controller_->num_workers() == 0) return std::nullopt;
-  return svc::CaptureSnapshot(*controller_);
+  const svc::Snapshot* snapshot = ConvergedSnapshot();
+  if (snapshot == nullptr) return std::nullopt;
+  return *snapshot;
 }
 
 std::string S2Verifier::RunReportJson(const VerifyResult& result) const {

@@ -56,11 +56,12 @@ class S2Verifier {
   std::optional<IncrementalResult> VerifyIncremental(
       const Scenario& scenario) const;
 
-  // Captures the last Verify's converged state as an immutable servable
-  // snapshot (svc/snapshot.h) for the query service: publish it to a
+  // The last Verify's converged state as an immutable servable snapshot
+  // (svc/snapshot.h) for the query service: publish it to a
   // SnapshotRegistry and serve queries without re-running the pipeline.
-  // nullopt if no run converged with a data plane (failed run, or the
-  // control-plane-only mode).
+  // A copy of the capture VerifyIncremental also reads. nullopt if no run
+  // converged with a data plane (failed run, the control-plane-only mode,
+  // or process-mode workers).
   std::optional<svc::Snapshot> ExportSnapshot() const;
 
   // One RunReport JSON object combining `result`'s phase metrics with the
@@ -78,10 +79,13 @@ class S2Verifier {
   // The last Verify's queries and verdicts — the incremental base.
   std::vector<dp::Query> last_queries_;
   std::vector<dp::QueryResult> last_results_;
-  // MakeIncrementalBase is scenario-independent (it snapshots the base
-  // controller's converged artifacts), so it is captured once on the first
-  // VerifyIncremental call and reused across scenarios; Verify clears it.
-  mutable std::optional<IncrementalBase> incremental_base_;
+  // The last Verify's converged run, captured once by the first
+  // ExportSnapshot or VerifyIncremental call and shared by both across
+  // scenarios; Verify clears it.
+  mutable std::optional<svc::Snapshot> snapshot_;
+  // Captures snapshot_ on first use; null if no run converged with a data
+  // plane in process (see ExportSnapshot).
+  const svc::Snapshot* ConvergedSnapshot() const;
 };
 
 }  // namespace s2::core

@@ -139,13 +139,15 @@ Dpo::MultiQueryRun Dpo::RunQueries(const std::vector<dp::Query>& queries,
 
   size_t num_workers = workers_->size();
 
-  // One snapshot of every worker's canonical predicate bytes, shared
+  // One snapshot of every node's canonical predicate bytes, shared
   // read-only by all query tasks (bdd_io encodes structurally, so each
   // task can rebuild an equivalent domain in a private manager).
-  PredicateBytes snapshots(num_workers);
+  std::vector<NodePredicates> per_worker(num_workers);
   pool_->ParallelFor(num_workers, [&](size_t w) {
-    snapshots[w] = (*workers_)[w]->SnapshotPredicates();
+    per_worker[w] = (*workers_)[w]->SnapshotPredicates();
   });
+  NodePredicates predicates;
+  for (NodePredicates& worker : per_worker) predicates.merge(worker);
 
   // Per-query, per-worker shared-nothing domains; node bytes are charged
   // to the owning worker's tracker (atomic, so concurrent queries are
@@ -166,7 +168,7 @@ Dpo::MultiQueryRun Dpo::RunQueries(const std::vector<dp::Query>& queries,
     obs::Span query_span("dp", "dp.query");
     query_span.Arg("query", static_cast<int64_t>(q));
     double cpu_start = util::ThreadCpuSeconds();
-    QueryExecutor executor(&snapshots, &fabric_->assignment(),
+    QueryExecutor executor(num_workers, &predicates, &fabric_->assignment(),
                            executor_options);
     std::vector<uint32_t> scope = all_workers;
     QueryExecutor::Run run = executor.Execute(queries[q], scope);

@@ -37,13 +37,14 @@ void DeserializeFinals(const std::vector<SerializedFinal>& finals,
   }
 }
 
-QueryExecutor::QueryExecutor(const PredicateBytes* predicates,
+QueryExecutor::QueryExecutor(size_t num_workers,
+                             const NodePredicates* predicates,
                              const std::vector<uint32_t>* worker_of,
                              Options options)
     : predicates_(predicates),
       worker_of_(worker_of),
       options_(std::move(options)),
-      domains_(predicates->size()) {}
+      domains_(num_workers) {}
 
 bool QueryExecutor::EnsureDomain(uint32_t w) {
   Domain& domain = domains_[w];
@@ -62,7 +63,8 @@ bool QueryExecutor::EnsureDomain(uint32_t w) {
   engine_options.max_hops = options_.max_hops;
   auto engine = std::make_unique<dp::ForwardingEngine>(
       dp::PacketCodec(manager.get(), options_.layout), engine_options);
-  for (const auto& [id, bytes] : (*predicates_)[w]) {
+  for (const auto& [id, bytes] : *predicates_) {
+    if ((*worker_of_)[id] != w) continue;
     // AddNode pins the predicate roots: the snapshot surface is immutable
     // for the domain's lifetime (bdd.h, PinRoot).
     engine->AddNode(id, fault::DeserializePredicates(*manager, bytes));

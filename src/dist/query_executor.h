@@ -49,10 +49,8 @@ void DeserializeFinals(const std::vector<SerializedFinal>& finals,
                        std::vector<dp::FinalPacket>& out,
                        size_t& wire_bytes);
 
-// Per worker, per local node: canonical predicate bytes
-// (fault::SerializePredicates).
-using PredicateBytes =
-    std::vector<std::map<topo::NodeId, std::vector<uint8_t>>>;
+// Per node: canonical predicate bytes (fault::SerializePredicates).
+using NodePredicates = std::map<topo::NodeId, std::vector<uint8_t>>;
 
 class QueryExecutor {
  public:
@@ -66,9 +64,10 @@ class QueryExecutor {
     bool hold_gc = false;
   };
 
-  // `predicates` and `worker_of` (node -> worker) must outlive every call
-  // that builds a domain.
-  QueryExecutor(const PredicateBytes* predicates,
+  // Domain w of `num_workers` holds the nodes with worker_of[id] == w, in
+  // ascending id order. `predicates` and `worker_of` (node -> worker) must
+  // outlive every call that builds a domain.
+  QueryExecutor(size_t num_workers, const NodePredicates* predicates,
                 const std::vector<uint32_t>* worker_of, Options options);
 
   struct Run {
@@ -102,7 +101,7 @@ class QueryExecutor {
   // Builds domain `w` unless it exists; returns whether it built.
   bool EnsureDomain(uint32_t w);
 
-  const PredicateBytes* predicates_;
+  const NodePredicates* predicates_;
   const std::vector<uint32_t>* worker_of_;
   Options options_;
   std::vector<Domain> domains_;

@@ -24,6 +24,7 @@
 #include "dist/query_executor.h"
 #include "dist/shadow.h"
 #include "dist/sidecar.h"
+#include "dp/fib.h"
 #include "fault/checkpoint.h"
 #include "util/stopwatch.h"
 
@@ -76,10 +77,8 @@ class Worker {
   struct ReusableDataPlane {
     const std::unordered_set<topo::NodeId>* rebuild = nullptr;
     // Canonical predicate bytes (fault::SerializePredicates).
-    const std::map<topo::NodeId, std::vector<uint8_t>>* predicates = nullptr;
-    const std::map<topo::NodeId,
-                   std::vector<std::pair<util::IpPrefix, topo::NodeId>>>*
-        fib_edges = nullptr;
+    const NodePredicates* predicates = nullptr;
+    const std::map<topo::NodeId, dp::ForwardEdgeList>* fib_edges = nullptr;
     const std::map<topo::NodeId, size_t>* fib_bytes = nullptr;
   };
 
@@ -124,9 +123,7 @@ class Worker {
   // admission scoping. Empty after RestoreDataPlane (a checkpoint carries
   // predicates, not FIBs); the query service's lazy-scope fallback keeps
   // scoping sound on a recovered worker.
-  const std::map<topo::NodeId,
-                 std::vector<std::pair<util::IpPrefix, topo::NodeId>>>&
-  fib_edges() const {
+  const std::map<topo::NodeId, dp::ForwardEdgeList>& fib_edges() const {
     return fib_edges_;
   }
 
@@ -208,9 +205,7 @@ class Worker {
   std::unique_ptr<dp::ForwardingEngine> engine_;
   size_t fib_bytes_ = 0;
   std::map<topo::NodeId, size_t> node_fib_bytes_;
-  std::map<topo::NodeId,
-           std::vector<std::pair<util::IpPrefix, topo::NodeId>>>
-      fib_edges_;
+  std::map<topo::NodeId, dp::ForwardEdgeList> fib_edges_;
 
   double last_phase_seconds_ = 0;
   double predicate_seconds_ = 0;

@@ -28,9 +28,8 @@ size_t Fib::EstimateBytes() const {
   return bytes;
 }
 
-std::vector<std::pair<util::IpPrefix, topo::NodeId>> Fib::ForwardEdges()
-    const {
-  std::vector<std::pair<util::IpPrefix, topo::NodeId>> edges;
+ForwardEdgeList Fib::ForwardEdges() const {
+  ForwardEdgeList edges;
   for (const FibEntry& entry : entries) {
     if (entry.action != FibAction::kForward) continue;
     for (topo::NodeId next : entry.next_hops) {
@@ -38,6 +37,60 @@ std::vector<std::pair<util::IpPrefix, topo::NodeId>> Fib::ForwardEdges()
     }
   }
   return edges;
+}
+
+std::vector<char> ForwardCone(
+    size_t num_nodes, const std::vector<topo::NodeId>& sources,
+    const std::optional<util::IpPrefix>& dst,
+    const std::function<const ForwardEdgeList*(topo::NodeId)>& edges_of) {
+  std::vector<char> reached(num_nodes, 0);
+  std::vector<topo::NodeId> frontier;
+  auto visit = [&](topo::NodeId node) {
+    if (node < num_nodes && !reached[node]) {
+      reached[node] = 1;
+      frontier.push_back(node);
+    }
+  };
+  for (topo::NodeId src : sources) visit(src);
+  enum class Relation { kCover, kInside, kDisjoint };
+  std::vector<topo::NodeId> cover_hops;  // next hops of the longest cover
+  while (!frontier.empty()) {
+    topo::NodeId at = frontier.back();
+    frontier.pop_back();
+    const ForwardEdgeList* edges = edges_of(at);
+    if (edges == nullptr) continue;
+    if (!dst.has_value()) {
+      for (const auto& [prefix, next] : *edges) visit(next);
+      continue;
+    }
+    int longest_cover = -1;
+    cover_hops.clear();
+    // ECMP next hops of one entry are adjacent: relate each run once.
+    const util::IpPrefix* last = nullptr;
+    Relation relation = Relation::kDisjoint;
+    for (const auto& [prefix, next] : *edges) {
+      if (last == nullptr || !(prefix == *last)) {
+        last = &prefix;
+        relation = prefix.Contains(*dst)   ? Relation::kCover
+                   : dst->Contains(prefix) ? Relation::kInside
+                                           : Relation::kDisjoint;
+      }
+      if (relation == Relation::kInside) {
+        visit(next);  // wins for its own addresses
+      } else if (relation == Relation::kCover) {
+        // Covers every address of dst: wins only if no containing entry
+        // at this node is longer.
+        int length = prefix.length();
+        if (length > longest_cover) {
+          longest_cover = length;
+          cover_hops.clear();
+        }
+        if (length == longest_cover) cover_hops.push_back(next);
+      }
+    }
+    for (topo::NodeId next : cover_hops) visit(next);
+  }
+  return reached;
 }
 
 Fib Fib::Build(

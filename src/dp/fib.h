@@ -13,7 +13,9 @@
 //             devices
 #pragma once
 
+#include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "config/parser.h"
@@ -31,6 +33,10 @@ struct FibEntry {
 
   size_t EstimateBytes() const { return 48 + 8 * next_hops.size(); }
 };
+
+// (prefix, next hop) forward edges of one node.
+using ForwardEdgeList =
+    std::vector<std::pair<util::IpPrefix, topo::NodeId>>;
 
 struct Fib {
   // Longest prefix first; ties by address. Predicate construction walks
@@ -50,13 +56,30 @@ struct Fib {
   size_t EstimateBytes() const;
 
   // (prefix, next hop) of every kForward entry, one pair per ECMP next
-  // hop. This is the admission-scoping index (svc/query_service.h): a
-  // packet can only leave this node toward a next hop whose entry prefix
-  // intersects the packet's destination space, so a reachability pre-pass
-  // over these edges soundly over-approximates the workers a query can
-  // touch.
-  std::vector<std::pair<util::IpPrefix, topo::NodeId>> ForwardEdges()
-      const;
+  // hop: one node's share of the forward-edge index ForwardCone walks.
+  ForwardEdgeList ForwardEdges() const;
 };
+
+// The forward cone of a query: per node in [0, num_nodes), whether a
+// packet of destination space `dst` (nullopt: any destination) injected
+// at `sources` can visit it. A BFS over the forward-edge index, where
+// `edges_of` returns a node's edges (null: none known, the walk stops
+// there) and next hops >= num_nodes are ignored.
+//
+// Edges are pruned under longest-prefix match. Entries strictly inside
+// dst can each win for some of its addresses and are followed. Among
+// entries *containing* dst, only the longest present at a node can ever
+// be the match: every address of dst matches all of them, and anything
+// longer that also matches lies inside dst. Following shorter covering
+// entries (aggregates, default routes) would fan the cone across the
+// whole fabric. Entries disjoint from dst (another family included) are
+// skipped. Forwarding predicates are subsets of these entries' prefixes,
+// so with a complete index the cone over-approximates every node a
+// symbolic packet of the query visits: the query service's admission
+// scope and the incremental engine's re-verification test.
+std::vector<char> ForwardCone(
+    size_t num_nodes, const std::vector<topo::NodeId>& sources,
+    const std::optional<util::IpPrefix>& dst,
+    const std::function<const ForwardEdgeList*(topo::NodeId)>& edges_of);
 
 }  // namespace s2::dp

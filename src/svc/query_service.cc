@@ -33,14 +33,6 @@ uint64_t QueryKeyHash(const dp::Query& query) {
   return h;
 }
 
-// Sound intersection test for admission scoping: two prefixes intersect
-// iff one contains the other. A missing dst constraint matches everything.
-bool IntersectsDst(const util::IpPrefix& prefix,
-                   const std::optional<util::IpPrefix>& dst) {
-  if (!dst) return true;
-  return prefix.Contains(*dst) || dst->Contains(prefix);
-}
-
 }  // namespace
 
 QueryService::QueryService(SnapshotRegistry* registry, Options options)
@@ -142,9 +134,8 @@ std::optional<QueryService::WhatIfServed> QueryService::ServeWhatIf(
   // incremental engine re-runs every query instead of splicing verdicts
   // from another epoch.
   if (!consistent()) base_results.clear();
-  core::IncrementalBase base =
-      ToIncrementalBase(*ref, queries, std::move(base_results));
-  out.incremental = core::VerifyIncremental(base, scenario);
+  out.incremental =
+      core::VerifyIncremental(*ref, queries, base_results, scenario);
   return out;
 }
 
@@ -157,7 +148,8 @@ QueryService::Served QueryService::ServeLocked(Lane& lane,
 
   Served served;
   served.epoch = snapshot.epoch;
-  served.total_workers = snapshot.num_workers;
+  const uint32_t num_workers = snapshot.options.num_workers;
+  served.total_workers = num_workers;
 
   // Cache first: the warm path is hash + finals decode + verdict, no
   // scoping and no forwarding.
@@ -174,8 +166,8 @@ QueryService::Served QueryService::ServeLocked(Lane& lane,
     if (options_.scope_admission) {
       scope = ScopeWorkers(snapshot, query);
     } else {
-      scope.resize(snapshot.num_workers);
-      for (uint32_t w = 0; w < snapshot.num_workers; ++w) scope[w] = w;
+      scope.resize(num_workers);
+      for (uint32_t w = 0; w < num_workers; ++w) scope[w] = w;
     }
     dist::QueryExecutor::Run run;
     {
@@ -210,7 +202,7 @@ QueryService::Served QueryService::ServeLocked(Lane& lane,
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       stats_.workers_scoped += served.scoped_workers;
-      stats_.workers_total += snapshot.num_workers;
+      stats_.workers_total += num_workers;
       stats_.domains_built += run.domains_built;
       stats_.scope_fallbacks += run.fallbacks;
     }
@@ -246,20 +238,21 @@ void QueryService::BindEpoch(Lane& lane, const Snapshot& snapshot) {
   lane.cache.clear();
   lane.executor.reset();
   lane.gather_codec.reset();
+  const dist::ControllerOptions& options = snapshot.options;
   lane.gather_manager =
-      std::make_unique<bdd::Manager>(snapshot.layout.total_bits());
+      std::make_unique<bdd::Manager>(options.layout.total_bits());
   // Serving domains hold GC: dead intermediates (and the op-cache entries
   // over them) persist between queries; MaybeCollect runs explicit sweeps
   // on a query-count cadence instead.
   lane.gather_manager->PauseGc();
-  lane.gather_codec.emplace(lane.gather_manager.get(), snapshot.layout);
+  lane.gather_codec.emplace(lane.gather_manager.get(), options.layout);
   dist::QueryExecutor::Options executor_options;
-  executor_options.layout = snapshot.layout;
-  executor_options.max_hops = snapshot.max_hops;
-  executor_options.max_bdd_nodes = snapshot.max_bdd_nodes;
+  executor_options.layout = options.layout;
+  executor_options.max_hops = options.max_hops;
+  executor_options.max_bdd_nodes = options.max_bdd_nodes;
   executor_options.hold_gc = true;
-  lane.executor.emplace(&snapshot.predicates, &snapshot.worker_of,
-                        std::move(executor_options));
+  lane.executor.emplace(options.num_workers, &snapshot.predicates,
+                        &snapshot.worker_of, std::move(executor_options));
   lane.epoch = snapshot.epoch;
   lane.queries_since_gc = 0;
   std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -269,33 +262,19 @@ void QueryService::BindEpoch(Lane& lane, const Snapshot& snapshot) {
 std::vector<uint32_t> QueryService::ScopeWorkers(
     const Snapshot& snapshot, const dp::Query& query) const {
   size_t num_nodes = snapshot.worker_of.size();
-  std::vector<char> reached(num_nodes, 0);
-  std::vector<topo::NodeId> frontier;
-  for (topo::NodeId src : query.sources) {
-    if (src < num_nodes && !reached[src]) {
-      reached[src] = 1;
-      frontier.push_back(src);
-    }
-  }
-  while (!frontier.empty()) {
-    topo::NodeId at = frontier.back();
-    frontier.pop_back();
-    auto it = snapshot.fib_edges.find(at);
-    if (it == snapshot.fib_edges.end()) continue;
-    for (const auto& [prefix, next] : it->second) {
-      if (next >= num_nodes || reached[next]) continue;
-      if (!IntersectsDst(prefix, query.header_space.dst)) continue;
-      reached[next] = 1;
-      frontier.push_back(next);
-    }
+  std::vector<char> cone = dp::ForwardCone(
+      num_nodes, query.sources, query.header_space.dst,
+      [&](topo::NodeId id) -> const dp::ForwardEdgeList* {
+        auto it = snapshot.fib_edges.find(id);
+        return it == snapshot.fib_edges.end() ? nullptr : &it->second;
+      });
+  std::vector<char> admitted(snapshot.options.num_workers, 0);
+  for (topo::NodeId id = 0; id < num_nodes; ++id) {
+    if (cone[id]) admitted[snapshot.worker_of[id]] = 1;
   }
   std::vector<uint32_t> scope;
-  for (topo::NodeId id = 0; id < num_nodes; ++id) {
-    if (!reached[id]) continue;
-    uint32_t w = snapshot.worker_of[id];
-    if (!std::binary_search(scope.begin(), scope.end(), w)) {
-      scope.insert(std::upper_bound(scope.begin(), scope.end(), w), w);
-    }
+  for (uint32_t w = 0; w < admitted.size(); ++w) {
+    if (admitted[w]) scope.push_back(w);
   }
   return scope;
 }

@@ -3,18 +3,17 @@
 // A QueryService answers dp::Query requests against the SnapshotRegistry's
 // current epoch without ever re-running the control plane. Three layers:
 //
-//  Admission scoping — before executing, a reachability pre-pass over the
-//  snapshot's FIB forward-edge index computes which workers the query's
-//  header space can possibly touch: BFS from the query sources over edges
-//  whose entry prefix intersects the destination space. Forwarding
-//  predicates are subsets of the union of forward-entry prefixes, so the
-//  reached set over-approximates every node a symbolic packet can visit —
-//  excluded workers provably see no packets, and skipping their domains
-//  cannot change a verdict. If a packet does cross into an unscoped worker
-//  (possible only when the edge index is incomplete, e.g. a recovered
-//  worker), the domain is built lazily mid-query and a scope_fallbacks
-//  counter records the miss — scoping degrades to a perf hint, never a
-//  soundness risk.
+//  Admission scoping — before executing, the query's forward cone over the
+//  snapshot's FIB forward-edge index (dp::ForwardCone: a BFS from the
+//  query sources, pruned under longest-prefix match to edges a packet of
+//  the destination space can take) computes which workers the query can
+//  possibly touch. The cone over-approximates every node a symbolic
+//  packet can visit — excluded workers provably see no packets, and
+//  skipping their domains cannot change a verdict. If a packet does cross
+//  into an unscoped worker (possible only when the edge index is
+//  incomplete, e.g. a recovered worker), the domain is built lazily
+//  mid-query and a scope_fallbacks counter records the miss — scoping
+//  degrades to a perf hint, never a soundness risk.
 //
 //  Serving lanes — each lane owns one dist::QueryExecutor per epoch
 //  (dist/query_executor.h), the executor Dpo::RunQueries runs per query.
@@ -40,6 +39,7 @@
 
 #include <optional>
 
+#include "core/incremental.h"
 #include "dist/query_executor.h"
 #include "svc/snapshot.h"
 

@@ -6,68 +6,27 @@
 
 namespace s2::svc {
 
-size_t Snapshot::TotalBytes() const {
-  size_t bytes = sizeof(Snapshot);
-  bytes += worker_of.size() * sizeof(uint32_t);
-  for (const auto& worker : predicates) {
-    for (const auto& [id, blob] : worker) {
-      bytes += sizeof(id) + blob.size();
-    }
-  }
-  for (const auto& [id, edges] : fib_edges) {
-    bytes += sizeof(id) + edges.size() * (sizeof(util::IpPrefix) +
-                                          sizeof(topo::NodeId));
-  }
-  return bytes;
-}
-
 Snapshot CaptureSnapshot(const dist::Controller& controller) {
   Snapshot snapshot;
-  const dist::ControllerOptions& options = controller.options();
-  snapshot.layout = options.layout;
-  snapshot.max_hops = options.max_hops;
-  snapshot.max_bdd_nodes = options.max_bdd_nodes;
-  snapshot.options = options;
+  snapshot.options = controller.options();
   snapshot.shard_plan = controller.shard_plan();
-  snapshot.num_workers = controller.num_workers();
   snapshot.worker_of = controller.partition().assignment;
   // A private copy: the controller may be mutated or destroyed while
   // queries are still being served against this epoch.
   snapshot.network =
       std::make_shared<const config::ParsedNetwork>(controller.network());
   snapshot.rib_spills = controller.rib_store();
-  snapshot.predicates.resize(controller.num_workers());
   for (size_t w = 0; w < controller.num_workers(); ++w) {
     const dist::Worker& worker = controller.worker(w);
     if (!worker.has_data_plane()) continue;
-    snapshot.predicates[w] = worker.SnapshotPredicates();
-    for (const auto& [id, edges] : worker.fib_edges()) {
-      snapshot.fib_edges[id] = edges;
-    }
+    snapshot.predicates.merge(worker.SnapshotPredicates());
+    snapshot.fib_edges.insert(worker.fib_edges().begin(),
+                              worker.fib_edges().end());
     snapshot.node_fib_bytes.insert(worker.node_fib_bytes().begin(),
                                    worker.node_fib_bytes().end());
   }
   snapshot.total_best_routes = controller.TotalBestRoutes();
   return snapshot;
-}
-
-core::IncrementalBase ToIncrementalBase(
-    const Snapshot& snapshot, std::vector<dp::Query> queries,
-    std::vector<dp::QueryResult> results) {
-  core::IncrementalBase base;
-  base.network = snapshot.network;
-  base.options = snapshot.options;
-  base.rib_spills = snapshot.rib_spills;
-  base.plan = snapshot.shard_plan;
-  for (const auto& worker : snapshot.predicates) {
-    base.predicates.insert(worker.begin(), worker.end());
-  }
-  base.fib_edges = snapshot.fib_edges;
-  base.fib_bytes = snapshot.node_fib_bytes;
-  base.total_best_routes = snapshot.total_best_routes;
-  base.queries = std::move(queries);
-  base.results = std::move(results);
-  return base;
 }
 
 // ------------------------------------------------------------ SnapshotRef

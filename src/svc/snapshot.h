@@ -1,12 +1,13 @@
 // Verification-as-a-service, part 1: the servable artifact.
 //
 // A converged S2 run (control plane + data planes) is captured as an
-// immutable Snapshot: per-worker canonical predicate bytes (the FIB BDD
+// immutable Snapshot: per-node canonical predicate bytes (the FIB BDD
 // roots in bdd_io's structural encoding), the per-node forward-edge index
 // for admission scoping, the partition map, and shared handles to the
-// parsed network and the RIB spill store. Everything a QueryService needs
-// to answer reachability/loop/waypoint queries without re-running the
-// control plane.
+// parsed network and the RIB spill store. It is the one capture of a
+// converged run: a QueryService answers reachability/loop/waypoint
+// queries from it without re-running the control plane, and
+// core::VerifyIncremental re-verifies what-if scenarios against it.
 //
 // The SnapshotRegistry publishes snapshots under monotonically increasing
 // epochs with epoch-based reclaim: a republish makes the new epoch current
@@ -24,9 +25,11 @@
 #include <vector>
 
 #include "config/parser.h"
-#include "core/incremental.h"
 #include "cp/rib.h"
-#include "dp/packet.h"
+#include "cp/shard.h"
+#include "dist/controller.h"
+#include "dist/query_executor.h"
+#include "dp/fib.h"
 #include "obs/registry.h"
 
 namespace s2::svc {
@@ -35,20 +38,15 @@ struct Snapshot {
   // Stamped by SnapshotRegistry::Publish; 0 = never published.
   uint64_t epoch = 0;
 
-  // Domain parameters of the run that converged (serving domains must
-  // rebuild predicates under the same header layout).
-  dp::HeaderLayout layout;
-  int max_hops = 24;
-  size_t max_bdd_nodes = 0;
-
-  // The full option set of the run — what an incremental what-if re-run
-  // of a scenario against this snapshot inherits (core/incremental.h).
+  // The option set of the run that converged: serving domains take their
+  // header format, hop and BDD-node limits and worker count from it, and
+  // an incremental what-if re-run of a scenario inherits it
+  // (core/incremental.h).
   dist::ControllerOptions options;
   // The shard plan whose converged spills rib_spills holds (nullopt when
   // sharding was off; what-if then degrades to a full re-run).
   std::optional<cp::ShardPlan> shard_plan;
 
-  size_t num_workers = 0;
   // worker_of[node] = owning worker (the partition assignment).
   std::vector<uint32_t> worker_of;
 
@@ -58,15 +56,13 @@ struct Snapshot {
   std::shared_ptr<const config::ParsedNetwork> network;
   std::shared_ptr<const cp::RibStore> rib_spills;
 
-  // Per worker, per local node: canonical predicate bytes (bdd_io
-  // structural encoding — equal bytes mean equal forwarding semantics).
-  std::vector<std::map<topo::NodeId, std::vector<uint8_t>>> predicates;
+  // Per node: canonical predicate bytes (bdd_io structural encoding —
+  // equal bytes mean equal forwarding semantics).
+  dist::NodePredicates predicates;
 
   // Per node: (prefix, next hop) FIB forward edges — the admission-scoping
   // index. May be empty for recovered workers (see Worker::fib_edges).
-  std::map<topo::NodeId,
-           std::vector<std::pair<util::IpPrefix, topo::NodeId>>>
-      fib_edges;
+  std::map<topo::NodeId, dp::ForwardEdgeList> fib_edges;
 
   // Per node, Fib::EstimateBytes of the FIB behind its predicates — lets
   // an incremental re-run account reused nodes exactly as a cold rebuild
@@ -74,21 +70,11 @@ struct Snapshot {
   std::map<topo::NodeId, size_t> node_fib_bytes;
 
   size_t total_best_routes = 0;
-
-  size_t TotalBytes() const;
 };
 
 // Captures the controller's converged state. Requires RunControlPlane and
 // BuildDataPlanes to have completed (every worker holds a data plane).
 Snapshot CaptureSnapshot(const dist::Controller& controller);
-
-// Everything core::VerifyIncremental needs, assembled from a published
-// snapshot plus the base verdicts of the queries being re-asked (queries
-// and results index-aligned — QueryService::ServeWhatIf pairs them from a
-// base ServeBatch over the same snapshot).
-core::IncrementalBase ToIncrementalBase(const Snapshot& snapshot,
-                                        std::vector<dp::Query> queries,
-                                        std::vector<dp::QueryResult> results);
 
 class SnapshotRegistry;
 

@@ -1,6 +1,7 @@
 // FIB construction tests: LPM ordering, protocol merge by admin distance,
 // action classification (forward / arrive / exit / discard), ECMP next
-// hops, and memory accounting.
+// hops, and memory accounting; plus the LPM-pruned forward cone over a
+// hand-built forward-edge index.
 #include <gtest/gtest.h>
 
 #include "cp/engine.h"
@@ -127,6 +128,86 @@ TEST(FibTest, EndToEndFromConvergedEngine) {
   EXPECT_EQ(cross->action, FibAction::kForward);
   EXPECT_EQ(cross->next_hops.size(), 2u);  // ECMP via r1 and r2
   EXPECT_EQ(Find(fib, "10.0.0.0/24")->action, FibAction::kArrive);
+}
+
+// A hand-built forward-edge index: node -> (prefix, next hop) edges.
+struct EdgeIndex {
+  std::map<topo::NodeId, ForwardEdgeList> edges;
+
+  void Add(topo::NodeId at, const std::string& prefix, topo::NodeId next) {
+    edges[at].emplace_back(util::MustParsePrefix(prefix), next);
+  }
+
+  std::vector<topo::NodeId> Cone(size_t num_nodes,
+                                 std::vector<topo::NodeId> sources,
+                                 std::optional<std::string> dst) const {
+    std::optional<util::IpPrefix> space;
+    if (dst) space = util::MustParsePrefix(*dst);
+    std::vector<char> reached = ForwardCone(
+        num_nodes, sources, space,
+        [this](topo::NodeId id) -> const ForwardEdgeList* {
+          auto it = edges.find(id);
+          return it == edges.end() ? nullptr : &it->second;
+        });
+    EXPECT_EQ(reached.size(), num_nodes);
+    std::vector<topo::NodeId> nodes;
+    for (topo::NodeId id = 0; id < reached.size(); ++id) {
+      if (reached[id]) nodes.push_back(id);
+    }
+    return nodes;
+  }
+};
+
+using Nodes = std::vector<topo::NodeId>;
+
+TEST(ForwardConeTest, FollowsInsideEntriesAndOnlyTheLongestCover) {
+  EdgeIndex index;
+  index.Add(0, "10.1.2.0/24", 1);     // strictly inside the dst space
+  index.Add(0, "10.0.0.0/8", 2);      // the longest entry containing it
+  index.Add(0, "0.0.0.0/0", 3);       // a shorter cover: never the match
+  index.Add(0, "192.168.0.0/16", 4);  // disjoint
+  index.Add(2, "10.1.0.0/16", 5);     // an equal-length cover is a cover
+  index.Add(2, "10.1.0.0/17", 6);     // inside: followed as well
+  index.Add(3, "10.1.0.0/16", 7);     // behind the skipped default route
+  EXPECT_EQ(index.Cone(8, {0}, "10.1.0.0/16"), (Nodes{0, 1, 2, 5, 6}));
+  // A /8 aggregate beats the default route; without it the default route
+  // is the longest cover and is followed.
+  EdgeIndex no_aggregate;
+  no_aggregate.Add(0, "0.0.0.0/0", 3);
+  no_aggregate.Add(3, "10.1.0.0/16", 7);
+  EXPECT_EQ(no_aggregate.Cone(8, {0}, "10.1.0.0/16"), (Nodes{0, 3, 7}));
+}
+
+TEST(ForwardConeTest, QueryWithoutDstFollowsEveryEdge) {
+  EdgeIndex index;
+  index.Add(0, "10.1.2.0/24", 1);
+  index.Add(0, "0.0.0.0/0", 3);
+  index.Add(0, "192.168.0.0/16", 4);
+  index.Add(3, "2001:db8::/32", 5);
+  EXPECT_EQ(index.Cone(6, {0}, std::nullopt), (Nodes{0, 1, 3, 4, 5}));
+  // Several sources, duplicates and nodes without edges are fine.
+  EXPECT_EQ(index.Cone(6, {2, 2, 4}, std::nullopt), (Nodes{2, 4}));
+}
+
+TEST(ForwardConeTest, IgnoresOutOfRangeNodes) {
+  EdgeIndex index;
+  index.Add(0, "10.1.0.0/16", 9);  // the longest cover, but >= num_nodes
+  index.Add(0, "10.1.2.0/24", 1);
+  EXPECT_EQ(index.Cone(3, {0, 7}, "10.1.0.0/16"), (Nodes{0, 1}));
+  EXPECT_EQ(index.Cone(3, {0}, std::nullopt), (Nodes{0, 1}));
+}
+
+// Dual stack: an entry of the other family neither contains nor lies
+// inside the dst space, so it is never followed — not even a default
+// route.
+TEST(ForwardConeTest, OtherFamilyEntriesNeverAdmitDst) {
+  EdgeIndex index;
+  index.Add(0, "::/0", 1);
+  index.Add(0, "2001:db8::/32", 2);
+  index.Add(0, "10.0.0.0/8", 3);
+  index.Add(0, "0.0.0.0/0", 4);
+  EXPECT_EQ(index.Cone(5, {0}, "10.1.0.0/16"), (Nodes{0, 3}));
+  EXPECT_EQ(index.Cone(5, {0}, "2001:db8:1::/48"), (Nodes{0, 2}));
 }
 
 }  // namespace

@@ -470,5 +470,47 @@ TEST(IncrementalWhatIfTest, BaseStaysServableAcrossScenarios) {
   EXPECT_EQ(before.fib_bytes, after.fib_bytes);
 }
 
+// The facade captures one snapshot per converged run and shares it between
+// ExportSnapshot and VerifyIncremental; a later Verify must drop it, so
+// both answer for the new network, never the old one.
+TEST(IncrementalWhatIfTest, SnapshotCacheFollowsTheLastVerify) {
+  ControllerOptions options;
+  options.num_workers = 2;
+  options.num_shards = 4;
+  core::S2Verifier verifier(options);
+
+  config::ParsedNetwork chain = testing::Parse(testing::MakeChain(5));
+  std::vector<dp::Query> chain_queries = StandardQueries(chain);
+  ASSERT_TRUE(verifier.Verify(chain, chain_queries).ok());
+  std::optional<svc::Snapshot> first = verifier.ExportSnapshot();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->worker_of.size(), chain.graph.size());
+  ASSERT_TRUE(verifier.VerifyIncremental(core::FailNodeScenario(2))
+                  .has_value());
+
+  topo::FatTreeParams params;
+  params.k = 4;
+  config::ParsedNetwork fattree = testing::Parse(topo::MakeFatTree(params));
+  ASSERT_NE(fattree.graph.size(), chain.graph.size());
+  std::vector<dp::Query> queries = StandardQueries(fattree);
+  core::VerifyResult base = verifier.Verify(fattree, queries);
+  ASSERT_TRUE(base.ok()) << base.failure_detail;
+  std::optional<svc::Snapshot> second = verifier.ExportSnapshot();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->worker_of.size(), fattree.graph.size());
+  EXPECT_EQ(second->predicates.size(), fattree.graph.size());
+
+  core::Scenario scenario = core::RemoveLinkScenario(
+      fattree.graph.FindByName("edge-0-1"),
+      fattree.graph.FindByName("agg-0-1"));
+  std::optional<core::IncrementalResult> incremental =
+      verifier.VerifyIncremental(scenario);
+  ASSERT_TRUE(incremental.has_value());
+  EXPECT_FALSE(incremental->stats.full_fallback)
+      << incremental->stats.fallback_reason;
+  ExpectMatchesColdRerun(*incremental, core::ApplyScenario(fattree, scenario),
+                         options, queries, base, "second-verify");
+}
+
 }  // namespace
 }  // namespace s2
