@@ -31,7 +31,8 @@ int main() {
 
   util::MemoryTracker tracker("attr-bench");
   cp::MonoEngine engine(parsed, &tracker);
-  engine.Run(nullptr, nullptr);
+  cp::RibStore store;
+  engine.Run(cp::BuildShardPlan(parsed, 1), store);
 
   const cp::AttrPool::Stats stats = engine.attr_pool().stats();
   const size_t interned_peak = tracker.peak_bytes();

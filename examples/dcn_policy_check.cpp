@@ -54,14 +54,14 @@ int main() {
               q.multipath_violations.empty() ? "yes" : "NO");
 
   // --- Inspect the control plane for the policy effects (via the
-  // monolithic verifier, which exposes RIBs directly).
+  // monolithic verifier, whose spill store holds the converged RIBs).
   core::MonoVerifier mono{core::MonoOptions{}};
   core::VerifyResult mono_result = mono.Verify(parsed, {});
-  auto& engine = *mono.last_engine();
+  cp::AttrPool pool;
 
   // Aggregation: the TOR sees the big cluster as one tagged /16, not its
   // individual /24s (the §2.3 route-count reduction).
-  const auto& tor_rib = engine.node(src).bgp_routes();
+  const auto tor_rib = mono.last_rib_store()->ReadAll(src, pool);
   auto big_agg = util::MustParsePrefix("10.2.0.0/16");
   auto big_specific = util::MustParsePrefix("10.2.0.0/24");
   std::printf("\naggregation at big-cluster spines:\n");

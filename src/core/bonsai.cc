@@ -115,16 +115,21 @@ VerifyResult BonsaiVerifier::Verify(const topo::Network& network) {
     engine_options.max_rounds_per_pass = options_.max_rounds;
     try {
       cp::MonoEngine engine(parsed, &tracker, engine_options);
-      engine.Run(nullptr, nullptr);
+      cp::RibStore store;
+      engine.Run(cp::BuildShardPlan(parsed, 1), store);
       // Reachable iff the representative other-pod edge learned the
       // destination prefix.
       topo::NodeId probe = parsed.graph.FindByName("edge-1-0");
-      bool ok = engine.node(probe).bgp_routes().count(destination.prefix) >
-                0;
+      bool ok = store.ReadAll(probe, engine.attr_pool())
+                    .count(destination.prefix) > 0;
       (ok ? reachable : unreachable) += 1;
     } catch (const util::SimulatedOom& oom) {
       result.status = RunStatus::kOutOfMemory;
       result.failure_detail = oom.what();
+      return result;
+    } catch (const util::SpillError& spill) {
+      result.status = RunStatus::kSpillFailed;
+      result.failure_detail = spill.what();
       return result;
     }
     peak = std::max(peak, tracker.peak_bytes());

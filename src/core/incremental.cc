@@ -72,9 +72,6 @@ IncrementalResult VerifyIncremental(
     reason = "config edit carries no impact bound";
   } else if (any_ospf) {
     reason = "OSPF recomputes globally";
-  } else if (base.rib_spills == nullptr || !base.shard_plan.has_value() ||
-             base.shard_plan->empty()) {
-    reason = "base run has no converged shard spills";
   } else if (queries.size() != results.size()) {
     reason = "base query results incomplete";
   } else {

@@ -25,10 +25,11 @@
 // Soundness is pinned, not assumed: tests/incremental_test.cc runs a
 // scenario-randomizing differential suite proving verdicts, per-node
 // predicate bytes, and FIB bytes identical to a cold full re-run.
-// Hazards that break the localization argument (OSPF's global pass, an
-// unsharded base with no spills, arbitrary config edits) degrade to a
-// whole-network re-simulation through the same machinery — never to an
-// unsound answer.
+// Every converged run spills into its RibStore — an unsharded run is one
+// shard holding every prefix — so any in-process base localizes. Hazards
+// that break the localization argument (OSPF's global pass, arbitrary
+// config edits) degrade to a whole-network re-simulation through the same
+// machinery — never to an unsound answer.
 #pragma once
 
 #include <map>
@@ -92,7 +93,7 @@ struct IncrementalResult {
 // FIBs, and re-running only queries that can observe a changed node.
 // `queries` are the base run's queries and `results` their base verdicts,
 // index-aligned (a size mismatch re-verifies everything); `base.network`
-// must be set.
+// and `base.rib_spills` must be set.
 IncrementalResult VerifyIncremental(
     const svc::Snapshot& base, const std::vector<dp::Query>& queries,
     const std::vector<dp::QueryResult>& results, const Scenario& scenario);

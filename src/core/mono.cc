@@ -9,11 +9,10 @@ VerifyResult MonoVerifier::Verify(const config::ParsedNetwork& network,
                                   const std::vector<dp::Query>& queries) {
   VerifyResult result;
   engine_.reset();  // previous run's nodes release into the old tracker
+  store_.reset();
   tracker_ = std::make_unique<util::MemoryTracker>("mono",
                                                    options_.memory_budget);
   util::MemoryTracker& tracker = *tracker_;
-  std::optional<cp::ShardPlan> plan;
-  std::unique_ptr<cp::RibStore> store;
 
   try {
     // ------------------------------------------------------ control plane
@@ -22,26 +21,16 @@ VerifyResult MonoVerifier::Verify(const config::ParsedNetwork& network,
     engine_options.cost = options_.cost;
     engine_ = std::make_unique<cp::MonoEngine>(network, &tracker,
                                                engine_options);
-    if (options_.num_shards > 0) {
-      plan = cp::BuildShardPlan(network, options_.num_shards, options_.seed);
-      cp::RepairShardPlan(network, *plan);  // §7 fallback, normally a no-op
-      store = std::make_unique<cp::RibStore>();
-    }
+    cp::ShardPlan plan =
+        cp::BuildShardPlan(network, options_.num_shards, options_.seed);
+    cp::RepairShardPlan(network, plan);  // §7 fallback, normally a no-op
+    store_ = std::make_unique<cp::RibStore>();
     util::Stopwatch cp_watch;
-    engine_->Run(plan ? &*plan : nullptr, store.get());
+    engine_->Run(plan, *store_);
     result.control_plane.wall_seconds = cp_watch.ElapsedSeconds();
     result.control_plane.modeled_seconds = engine_->stats().modeled_seconds;
     result.control_plane.rounds = engine_->stats().bgp_rounds;
-    result.total_best_routes =
-        store ? store->routes_written() : [&] {
-          size_t total = 0;
-          for (const auto& node : engine_->nodes()) {
-            for (const auto& [prefix, routes] : node->bgp_routes()) {
-              total += routes.size();
-            }
-          }
-          return total;
-        }();
+    result.total_best_routes = engine_->stats().total_best_routes;
 
     // --------------------------------------------------------- data plane
     // One manager, one node table, for the whole network — the §2.2
@@ -59,14 +48,10 @@ VerifyResult MonoVerifier::Verify(const config::ParsedNetwork& network,
     engine_opts.max_hops = options_.max_hops;
     dp::ForwardingEngine forwarding(codec, engine_opts);
     for (const auto& node : engine_->nodes()) {
-      std::map<util::IpPrefix, std::vector<cp::Route>> from_store;
-      const auto* bgp = &node->bgp_routes();
-      if (store) {
-        from_store = store->ReadAll(node->id(), engine_->attr_pool());
-        bgp = &from_store;
-      }
-      dp::Fib fib = dp::Fib::Build(network, node->id(), *bgp,
-                                   node->ospf_routes(), &tracker);
+      dp::Fib fib = dp::Fib::Build(
+          network, node->id(),
+          store_->ReadAll(node->id(), engine_->attr_pool()),
+          node->ospf_routes(), &tracker);
       forwarding.AddNode(node->id(),
                          dp::BuildPredicates(network, node->id(), fib,
                                              codec));

@@ -3,7 +3,9 @@
 // table serves all data-plane work, and the per-domain memory budget makes
 // the single-server OOM wall observable. Optionally runs with prefix
 // sharding ("Batfish + prefix sharding", Fig 4), which the paper shows is
-// what lets the monolithic verifier survive the real DCN.
+// what lets the monolithic verifier survive the real DCN. Either way the
+// converged BGP routes are spilled to one RibStore and the FIBs are built
+// from there.
 //
 // It shares the exact switch model (cp::Node) and property machinery
 // (dp::*) with S2 — the integration tests rely on this to pin down the
@@ -18,7 +20,7 @@ namespace s2::core {
 struct MonoOptions {
   // Memory budget of the single domain (0 = unlimited).
   size_t memory_budget = 0;
-  // 0 disables prefix sharding.
+  // Prefix shards; 0 or 1 runs every prefix as one shard (no sharding).
   int num_shards = 0;
   // Single shared BDD node table capacity (0 = unbounded). The paper notes
   // centralized DPV is bounded by the 2^32 node table (§2.2).
@@ -37,9 +39,11 @@ class MonoVerifier {
   VerifyResult Verify(const config::ParsedNetwork& network,
                       const std::vector<dp::Query>& queries);
 
-  // The engine of the last Verify (valid until the next call); integration
-  // tests read its converged RIBs.
+  // The engine of the last Verify and the store holding its converged BGP
+  // routes (valid until the next call); integration tests read the RIBs
+  // back from the store.
   cp::MonoEngine* last_engine() { return engine_.get(); }
+  const cp::RibStore* last_rib_store() const { return store_.get(); }
 
  private:
   MonoOptions options_;
@@ -47,6 +51,7 @@ class MonoVerifier {
   // destruction.
   std::unique_ptr<util::MemoryTracker> tracker_;
   std::unique_ptr<cp::MonoEngine> engine_;
+  std::unique_ptr<cp::RibStore> store_;
 };
 
 }  // namespace s2::core

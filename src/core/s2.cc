@@ -37,22 +37,11 @@ VerifyResult S2Verifier::Verify(config::ParsedNetwork network,
     result.partition_seconds = watch.ElapsedSeconds();
 
     result.control_plane = controller_->RunControlPlane();
-    if (queries.empty() && skip_data_plane_without_queries) {
-      result.peak_memory_bytes = controller_->MaxWorkerPeakBytes();
-      result.worker_peaks = controller_->WorkerPeakBytes();
-      result.comm_bytes += controller_->TotalCommBytes();
-      result.total_best_routes = controller_->TotalBestRoutes();
-      if (controller_->fabric().reliable()) {
-        fault::ReliableTransport::Stats stats =
-            controller_->fabric().transport_stats();
-        result.retransmits = stats.retransmits;
-        result.frames_dropped = stats.dropped;
-        result.duplicates_suppressed = stats.duplicates_suppressed;
-        result.worker_recoveries = controller_->worker_recoveries();
-      }
-      return result;
+    // A control-plane-only run (no queries and the skip flag: fig8, fig9,
+    // the ablation) builds no data plane and runs no query below.
+    if (!queries.empty() || !skip_data_plane_without_queries) {
+      result.dp_build = controller_->BuildDataPlanes();
     }
-    result.dp_build = controller_->BuildDataPlanes();
     if (options_.query_lanes > 1 && queries.size() > 1) {
       // Query-level parallelism: all queries at once; dp_forward carries
       // the aggregate (modeled = LPT makespan over the query lanes).

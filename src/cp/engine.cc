@@ -53,7 +53,7 @@ int MonoEngine::RunRounds() {
   return rounds;
 }
 
-void MonoEngine::Run(const ShardPlan* plan, RibStore* store) {
+void MonoEngine::Run(const ShardPlan& plan, RibStore& store) {
   // IGP pass first (§4.2: IGP protocols before EGP).
   bool any_ospf = false;
   for (const config::ViConfig& config : network_->configs) {
@@ -65,27 +65,15 @@ void MonoEngine::Run(const ShardPlan* plan, RibStore* store) {
     for (auto& node : nodes_) node->FinishOspf();
   }
 
-  if (plan != nullptr) {
-    for (size_t shard = 0; shard < plan->num_shards(); ++shard) {
-      for (auto& node : nodes_) node->BeginBgp(&plan->shard(shard));
-      stats_.bgp_rounds += RunRounds();
-      ++stats_.shards_executed;
-      for (auto& node : nodes_) {
-        node->SpillBgp(*store, static_cast<int>(shard));
-      }
-    }
-  } else {
-    for (auto& node : nodes_) node->BeginBgp(nullptr);
-    stats_.bgp_rounds = RunRounds();
+  for (size_t shard = 0; shard < plan.num_shards(); ++shard) {
+    for (auto& node : nodes_) node->BeginBgp(&plan.shard(shard));
+    stats_.bgp_rounds += RunRounds();
     ++stats_.shards_executed;
-    for (auto& node : nodes_) node->RetainBgp();
-  }
-
-  // Count route entries (an ECMP set contributes one per path), matching
-  // the RibStore's routes_written measure.
-  for (auto& node : nodes_) {
-    for (const auto& [prefix, routes] : node->bgp_routes()) {
-      stats_.total_best_routes += routes.size();
+    // Route entries (an ECMP set contributes one per path), matching the
+    // RibStore's routes_written measure.
+    for (auto& node : nodes_) {
+      stats_.total_best_routes +=
+          node->SpillBgp(store, static_cast<int>(shard));
     }
   }
 }

@@ -1,7 +1,8 @@
 // Monolithic control-plane simulation engine — the "Batfish" baseline:
 // every node lives in one process/domain, rounds run over all of them,
-// and (optionally) prefix sharding splits the computation into rounds per
-// shard (the paper also evaluates "Batfish + prefix sharding", Fig 4).
+// and prefix sharding splits the computation into rounds per shard (the
+// paper also evaluates "Batfish + prefix sharding", Fig 4; plain Batfish
+// is the one-shard plan).
 //
 // The round structure is the synchronous two-phase exchange described in
 // cp/node.h; the distributed engine (dist/) runs the *same* phases with
@@ -44,10 +45,10 @@ class MonoEngine {
              util::MemoryTracker* tracker, EngineOptions options = {});
 
   // Runs the full protocol sequence (IGP before EGP, §4.2): an OSPF pass
-  // if any device enables OSPF, then BGP. With `plan`, BGP runs one shard
-  // at a time; converged shard results are spilled to `store` (which must
-  // then be non-null). Without a plan, results are retained in the nodes.
-  void Run(const ShardPlan* plan, RibStore* store);
+  // if any device enables OSPF, then BGP one shard of `plan` at a time,
+  // spilling each converged shard to `store` — the only home of converged
+  // BGP routes (an unsharded run is a one-shard plan).
+  void Run(const ShardPlan& plan, RibStore& store);
 
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
   Node& node(topo::NodeId id) { return *nodes_[id]; }

@@ -31,7 +31,6 @@ void Node::BeginOspf() {
 
 Node::~Node() {
   ReleaseResults(ospf_results_);
-  ReleaseResults(bgp_results_);
 }
 
 void Node::ChargeResult(const Route& route) {
@@ -230,7 +229,7 @@ std::vector<RouteUpdate> FlattenResults(
 
 void Node::SerializeState(std::vector<uint8_t>& out) const {
   // One attribute table for the whole blob, shared by every route section
-  // (candidates, best sets, results): serialize the sections into a
+  // (candidates, best sets, OSPF results): serialize the sections into a
   // scratch body while the builder collects distinct tuples, then emit
   // table followed by body.
   AttrTableBuilder table;
@@ -238,7 +237,6 @@ void Node::SerializeState(std::vector<uint8_t>& out) const {
   body.push_back(static_cast<uint8_t>(pass_));
   rib_.SerializeState(body, table);
   PutRoutesSection(body, FlattenResults(ospf_results_), table);
-  PutRoutesSection(body, FlattenResults(bgp_results_), table);
   table.Serialize(out);
   out.insert(out.end(), body.begin(), body.end());
 }
@@ -253,32 +251,18 @@ void Node::RestoreState(const std::vector<uint8_t>& bytes,
   pass_ = static_cast<Pass>(bytes[pos++]);
   shard_ = pass_ == Pass::kBgp ? shard : nullptr;
   rib_.RestoreState(bytes, pos, table);
-  auto restore_results =
-      [&](std::map<util::IpPrefix, std::vector<Route>>& results) {
-        for (RouteUpdate& update : GetRoutesSection(bytes, pos, table)) {
-          ChargeResult(update.route);
-          results[update.prefix].push_back(std::move(update.route));
-        }
-      };
-  restore_results(ospf_results_);
-  restore_results(bgp_results_);
-}
-
-void Node::SpillBgp(RibStore& store, int shard) {
-  store.Write(shard, id_, rib_.all_best(), pool_);
-  rib_.Clear();
-  outbox_.clear();
-  pass_ = Pass::kIdle;
-}
-
-void Node::RetainBgp() {
-  for (const auto& [prefix, routes] : rib_.all_best()) {
-    bgp_results_[prefix] = routes;
-    for (const Route& r : routes) ChargeResult(r);
+  for (RouteUpdate& update : GetRoutesSection(bytes, pos, table)) {
+    ChargeResult(update.route);
+    ospf_results_[update.prefix].push_back(std::move(update.route));
   }
+}
+
+size_t Node::SpillBgp(RibStore& store, int shard) {
+  size_t routes = store.Write(shard, id_, rib_.all_best(), pool_);
   rib_.Clear();
   outbox_.clear();
   pass_ = Pass::kIdle;
+  return routes;
 }
 
 }  // namespace s2::cp

@@ -68,12 +68,11 @@ class Node {
   void FinishOspf();
 
   // Spills the converged BGP shard results to `store` and frees the
-  // working RIB (the §4.5 end-of-round write to persistent storage).
-  void SpillBgp(RibStore& store, int shard);
-
-  // Keeps the converged BGP results in memory (no-sharding mode): moves
-  // them into the accumulated result map.
-  void RetainBgp();
+  // working RIB (the §4.5 end-of-round write to persistent storage). Every
+  // run ends its BGP rounds here — an unsharded run is one shard holding
+  // every prefix — so the store is the only home of converged BGP routes.
+  // Returns the route entries written (an ECMP set counts once per path).
+  size_t SpillBgp(RibStore& store, int shard);
 
   // ----------------------------------------------------------- the round
   // Phase A. Returns true if any update was produced (the node has not
@@ -92,22 +91,18 @@ class Node {
   const std::map<util::IpPrefix, std::vector<Route>>& ospf_routes() const {
     return ospf_results_;
   }
-  // BGP best routes accumulated by RetainBgp (no-sharding mode).
-  const std::map<util::IpPrefix, std::vector<Route>>& bgp_routes() const {
-    return bgp_results_;
-  }
   // The live working RIB (tests / diagnostics).
   const Rib& rib() const { return rib_; }
 
   // ------------------------------------------------ checkpoint (src/fault)
   // Serializes the full control-plane state (pass, working RIB including
-  // dirty marks, accumulated OSPF/BGP results) with the cp/route.cc wire
+  // dirty marks, OSPF results) with the cp/route.cc wire
   // format. Taken at phase barriers, where outboxes are always empty.
   void SerializeState(std::vector<uint8_t>& out) const;
 
   // Restores SerializeState bytes into a freshly constructed node. `shard`
   // must be the prefix shard that was active when the checkpoint was taken
-  // (null for OSPF / unsharded / idle).
+  // (null for OSPF / idle).
   void RestoreState(const std::vector<uint8_t>& bytes, const PrefixSet* shard);
 
  private:
@@ -132,7 +127,6 @@ class Node {
   std::map<topo::NodeId, std::vector<RouteUpdate>> outbox_;
 
   std::map<util::IpPrefix, std::vector<Route>> ospf_results_;
-  std::map<util::IpPrefix, std::vector<Route>> bgp_results_;
 };
 
 }  // namespace s2::cp

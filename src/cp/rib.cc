@@ -264,7 +264,7 @@ std::vector<uint8_t> RibStore::ReadExtent(const Extent& extent) const {
   return bytes;
 }
 
-void RibStore::Write(
+size_t RibStore::Write(
     int shard, topo::NodeId node,
     const std::map<util::IpPrefix, std::vector<Route>>& best,
     AttrPool* stats_pool) {
@@ -300,6 +300,7 @@ void RibStore::Write(
       }
     }
   }
+  return updates.size();
 }
 
 void RibStore::SeedBlob(int shard, topo::NodeId node,

@@ -137,8 +137,8 @@ class RibStore {
   // Thread-safe: workers spill concurrently; each (shard, node) pair is
   // written by exactly one worker, so only the bookkeeping is shared.
   // `stats_pool` (may be null) is credited with the batch's attribute
-  // dedup effect.
-  void Write(int shard, topo::NodeId node,
+  // dedup effect. Returns the route entries written (one per ECMP path).
+  size_t Write(int shard, topo::NodeId node,
              const std::map<util::IpPrefix, std::vector<Route>>& best,
              AttrPool* stats_pool = nullptr);
 

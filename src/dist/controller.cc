@@ -46,13 +46,8 @@ void Controller::Setup() {
 
   // The pool must exist before the workers: process-mode spawns fan out
   // on it.
-  size_t threads = options_.pool_threads;
-  if (threads == 0) {
-    threads = std::min<size_t>(options_.num_workers,
-                               std::max(1u,
-                                        std::thread::hardware_concurrency()));
-  }
-  pool_ = std::make_unique<util::ThreadPool>(threads);
+  pool_ = std::make_unique<util::ThreadPool>(std::min<size_t>(
+      options_.num_workers, std::max(1u, std::thread::hardware_concurrency())));
 
   worker_options_.memory_budget = options_.worker_memory_budget;
   worker_options_.max_bdd_nodes = options_.max_bdd_nodes;
@@ -132,15 +127,14 @@ void Controller::Setup() {
   dpo_ = std::make_unique<Dpo>(&handles_, fabric_.get(), pool_.get(),
                                options_.cost, worker_options_);
 
-  if (options_.num_shards > 0) {
-    plan_ = cp::BuildShardPlan(network_, options_.num_shards,
-                               options_.seed);
-    // §7 fallback: a freshly built plan is already dependency-closed, but
-    // repair defensively so externally cached/edited plans can't split
-    // dependent prefixes.
-    cp::RepairShardPlan(network_, *plan_);
-    store_ = std::make_shared<cp::RibStore>();
-  }
+  plan_ = cp::BuildShardPlan(network_, options_.num_shards, options_.seed);
+  // §7 fallback: a freshly built plan is already dependency-closed, but
+  // repair defensively so externally cached/edited plans can't split
+  // dependent prefixes.
+  cp::RepairShardPlan(network_, plan_);
+  // Process-mode children spill into segments of their own; the
+  // controller keeps only the blobs they ship back for recovery.
+  if (!process) store_ = std::make_shared<cp::RibStore>();
 
   gather_manager_ =
       std::make_unique<bdd::Manager>(options_.layout.total_bits());
@@ -152,8 +146,7 @@ RoundMetrics Controller::RunControlPlane() {
   for (const config::ViConfig& config : network_.configs) {
     any_ospf = any_ospf || config.ospf.enabled;
   }
-  RoundMetrics metrics =
-      cpo_->Run(any_ospf, plan_ ? &*plan_ : nullptr, store_.get());
+  RoundMetrics metrics = cpo_->Run(any_ospf, plan_, store_.get());
   // Final snapshot of the converged (idle) control plane: crashes fired
   // during the data-plane phase recover from here.
   if (injector_ != nullptr ||
@@ -272,20 +265,14 @@ void Controller::RecoverWorker(uint32_t w) {
   const fault::WorkerCheckpoint& checkpoint = checkpoints_[w];
   std::vector<fault::LoggedDelivery> log = fabric_->ReplayLog(w);
   const cp::PrefixSet* shard =
-      (checkpoint.shard >= 0 && plan_) ? &plan_->shard(checkpoint.shard)
-                                       : nullptr;
+      checkpoint.shard >= 0 ? &plan_.shard(checkpoint.shard) : nullptr;
   handles_[w]->Recover(checkpoint, shard, fabric_->CurrentRound(), log);
   ++worker_recoveries_;
 }
 
 size_t Controller::TotalBestRoutes() const {
-  // In process mode the children spill into their own private stores; the
-  // controller-side store_ sees no writes, so always ask the handles.
-  if (store_ && options_.worker_mode == WorkerMode::kInProcess) {
-    return store_->routes_written();
-  }
   size_t total = 0;
-  for (const auto& worker : handles_) total += worker->CountBestRoutes();
+  for (const auto& worker : handles_) total += worker->spilled_routes();
   return total;
 }
 

@@ -21,7 +21,9 @@ namespace s2::dist {
 struct ControllerOptions {
   uint32_t num_workers = 4;
   topo::PartitionScheme scheme = topo::PartitionScheme::kMetisLike;
-  // 0 disables prefix sharding.
+  // Prefix shards (paper §4.5); 0 or 1 runs every prefix as one shard.
+  // Either way each shard's converged routes are spilled to the RibStore
+  // and the FIBs are built from there.
   int num_shards = 0;
   // Per-worker memory budget in bytes (0 = unlimited): the knob that makes
   // the paper's OOM crossovers observable at laptop scale.
@@ -32,8 +34,6 @@ struct ControllerOptions {
   int max_rounds = 1000;
   uint64_t seed = 1;
   CostModelParams cost;
-  // Thread pool size; 0 = min(num_workers, hardware concurrency).
-  size_t pool_threads = 0;
   // Query-level parallelism for RunQueries: how many queries the modeled
   // schedule may run concurrently (0 = one per query, capped at 8).
   size_t query_lanes = 0;
@@ -71,18 +71,21 @@ class Controller {
   Controller(config::ParsedNetwork network, ControllerOptions options);
   ~Controller();
 
-  // Partition the network, set up workers (real + shadow nodes), and build
-  // the shard plan when sharding is on.
+  // Partition the network, set up workers (real + shadow nodes) on a pool
+  // of min(num_workers, hardware concurrency) threads, and build the shard
+  // plan. In-process workers spill into a store the controller opens here;
+  // process-mode children each open their own.
   void Setup();
 
-  // Distributed control-plane simulation (sharded per options).
+  // Distributed control-plane simulation, one round set per shard.
   RoundMetrics RunControlPlane();
 
   // Incremental what-if support (core/incremental.h): replaces the shard
   // plan and spill store Setup derived from the options with externally
-  // built ones. Call after Setup and before RunControlPlane; the control
-  // plane then runs one round set per shard of `plan`, spilling into
-  // `store` (which may be an overlay over a converged base run's spills).
+  // built ones (in-process workers only). Call after Setup and before
+  // RunControlPlane; the control plane then runs one round set per shard
+  // of `plan`, spilling into `store` (which may be an overlay over a
+  // converged base run's spills).
   void OverrideShardPlan(cp::ShardPlan plan,
                          std::shared_ptr<cp::RibStore> store);
 
@@ -115,15 +118,15 @@ class Controller {
   size_t MaxWorkerPeakBytes() const;
   std::vector<size_t> WorkerPeakBytes() const;
   size_t TotalCommBytes() const { return fabric_->total_bytes(); }
-  // Converged best-route count across the network (prefix entries; an ECMP
-  // set counts once per route when sharded/spilled, once per prefix when
-  // retained — benchmarks report the same measure across verifiers).
+  // Converged best-route entries spilled across the network (an ECMP set
+  // counts once per path — RibStore::routes_written's measure, which the
+  // benchmarks report across verifiers).
   size_t TotalBestRoutes() const;
 
   const topo::PartitionResult& partition() const { return partition_; }
-  const std::optional<cp::ShardPlan>& shard_plan() const { return plan_; }
+  const cp::ShardPlan& shard_plan() const { return plan_; }
   // Per-shard control-plane metrics of the last run (§7 prefix-parallelism
-  // analysis; empty for unsharded runs).
+  // analysis; one entry for an unsharded run).
   const std::vector<ShardMetrics>& shard_metrics() const {
     return cpo_->shard_metrics();
   }
@@ -139,9 +142,10 @@ class Controller {
   WorkerHandle& handle(size_t index) { return *handles_[index]; }
   const WorkerHandle& handle(size_t index) const { return *handles_[index]; }
   size_t num_workers() const { return handles_.size(); }
-  // The converged RIB spill store (null when sharding is off). Shared so a
-  // published svc::Snapshot can keep the spills alive past this
-  // controller's lifetime; the store is read-only after convergence.
+  // The converged RIB spill store (null in process mode, where the
+  // children hold the spills). Shared so a published svc::Snapshot can
+  // keep the spills alive past this controller's lifetime; the store is
+  // read-only after convergence.
   std::shared_ptr<const cp::RibStore> rib_store() const { return store_; }
 
   // ------------------------------------------------ fault tolerance
@@ -178,7 +182,7 @@ class Controller {
   Worker::Options worker_options_;
 
   topo::PartitionResult partition_;
-  std::optional<cp::ShardPlan> plan_;
+  cp::ShardPlan plan_;
   std::shared_ptr<cp::RibStore> store_;
   // Declared before handles_: ProcessWorkerHandle destructors (Shutdown)
   // still tick these counters, so the stats must outlive the handles.

@@ -117,7 +117,7 @@ size_t Cpo::MaxWorkerPeakNow() const {
   return peak;
 }
 
-RoundMetrics Cpo::Run(bool any_ospf, const cp::ShardPlan* plan,
+RoundMetrics Cpo::Run(bool any_ospf, const cp::ShardPlan& plan,
                       cp::RibStore* store) {
   RoundMetrics total;
   shard_metrics_.clear();
@@ -133,44 +133,33 @@ RoundMetrics Cpo::Run(bool any_ospf, const cp::ShardPlan* plan,
     pool_->ParallelFor(workers_->size(),
                        [&](size_t w) { (*workers_)[w]->FinishOspf(); });
   }
-  if (plan != nullptr) {
-    for (size_t shard = 0; shard < plan->num_shards(); ++shard) {
-      obs::Span span("cp", "cp.shard");
-      span.Arg("shard", static_cast<int64_t>(shard));
-      const cp::PrefixSet* prefixes = &plan->shard(shard);
-      // Reset per-worker peaks so the shard's own peak is attributable
-      // (the paper's per-round peak memory, Fig 9).
-      observed_peak_ = std::max(observed_peak_, MaxWorkerPeakNow());
-      for (const auto& worker : *workers_) worker->ResetPeak();
-      pool_->ParallelFor(workers_->size(), [&](size_t w) {
-        (*workers_)[w]->BeginBgp(prefixes, static_cast<int>(shard));
-      });
-      current_shard_ = static_cast<int>(shard);
-      if (hooks_.active()) hooks_.checkpoint(current_shard_);
-      ShardMetrics metrics;
-      metrics.rounds = RunRounds();
-      total.Add(metrics.rounds);
-      // End of shard round: spill to persistent storage, freeing worker
-      // memory before the next shard (§4.5).
-      pool_->ParallelFor(workers_->size(), [&](size_t w) {
-        (*workers_)[w]->SpillBgp(*store, static_cast<int>(shard));
-      });
-      if (hooks_.active()) hooks_.checkpoint(current_shard_);
-      metrics.max_worker_peak = MaxWorkerPeakNow();
-      observed_peak_ = std::max(observed_peak_, metrics.max_worker_peak);
-      span.Arg("rounds", metrics.rounds.rounds);
-      span.Arg("peak_bytes", static_cast<int64_t>(metrics.max_worker_peak));
-      shard_metrics_.push_back(metrics);
-    }
-  } else {
+  for (size_t shard = 0; shard < plan.num_shards(); ++shard) {
+    obs::Span span("cp", "cp.shard");
+    span.Arg("shard", static_cast<int64_t>(shard));
+    const cp::PrefixSet* prefixes = &plan.shard(shard);
+    // Reset per-worker peaks so the shard's own peak is attributable
+    // (the paper's per-round peak memory, Fig 9).
+    observed_peak_ = std::max(observed_peak_, MaxWorkerPeakNow());
+    for (const auto& worker : *workers_) worker->ResetPeak();
     pool_->ParallelFor(workers_->size(), [&](size_t w) {
-      (*workers_)[w]->BeginBgp(nullptr, /*shard_index=*/-1);
+      (*workers_)[w]->BeginBgp(prefixes, static_cast<int>(shard));
     });
-    current_shard_ = -1;
-    if (hooks_.active()) hooks_.checkpoint(-1);
-    total.Add(RunRounds());
-    pool_->ParallelFor(workers_->size(),
-                       [&](size_t w) { (*workers_)[w]->RetainBgp(); });
+    current_shard_ = static_cast<int>(shard);
+    if (hooks_.active()) hooks_.checkpoint(current_shard_);
+    ShardMetrics metrics;
+    metrics.rounds = RunRounds();
+    total.Add(metrics.rounds);
+    // End of shard round: spill to persistent storage, freeing worker
+    // memory before the next shard (§4.5).
+    pool_->ParallelFor(workers_->size(), [&](size_t w) {
+      (*workers_)[w]->SpillBgp(store, static_cast<int>(shard));
+    });
+    if (hooks_.active()) hooks_.checkpoint(current_shard_);
+    metrics.max_worker_peak = MaxWorkerPeakNow();
+    observed_peak_ = std::max(observed_peak_, metrics.max_worker_peak);
+    span.Arg("rounds", metrics.rounds.rounds);
+    span.Arg("peak_bytes", static_cast<int64_t>(metrics.max_worker_peak));
+    shard_metrics_.push_back(metrics);
   }
   return total;
 }

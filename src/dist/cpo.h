@@ -72,13 +72,12 @@ class Cpo {
       int max_rounds, FaultHooks hooks = {});
 
   // Full control-plane simulation: an OSPF pass when any device enables
-  // OSPF, then BGP — one round set per shard of `plan` (spilling converged
-  // results to `store`), or a single unsharded pass retaining results in
-  // the nodes.
-  RoundMetrics Run(bool any_ospf, const cp::ShardPlan* plan,
+  // OSPF, then BGP — one round set per shard of `plan`, spilling converged
+  // results through the handles (`store` as for WorkerHandle::SpillBgp).
+  RoundMetrics Run(bool any_ospf, const cp::ShardPlan& plan,
                    cp::RibStore* store);
 
-  // Per-shard records of the last Run (empty for unsharded runs).
+  // Per-shard records of the last Run.
   const std::vector<ShardMetrics>& shard_metrics() const {
     return shard_metrics_;
   }

@@ -54,7 +54,7 @@ RoundMetrics Dpo::BuildDataPlanes(const cp::RibStore* store,
     // Reuse is an incremental-what-if path; the facade gates it off in
     // process mode, so the local worker is always present here.
     span.Arg("hybrid", 1);
-    (*workers_)[w]->local()->BuildDataPlane(store, reuse);
+    (*workers_)[w]->local()->BuildDataPlane(*store, reuse);
   });
   for (const auto& worker : *workers_) {
     metrics.modeled_seconds =

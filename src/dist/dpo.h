@@ -20,10 +20,11 @@ class Dpo {
       SidecarFabric* fabric, util::ThreadPool* pool, CostModelParams cost,
       Worker::Options worker_options = {});
 
-  // Parallel FIB + predicate computation (reads spilled RIBs from `store`
-  // when the CP ran sharded). With `reuse` (incremental what-if,
-  // core/incremental.h), only nodes in reuse->rebuild recompute; all
-  // others adopt the converged base artifacts.
+  // Parallel FIB + predicate computation from the spilled RIBs in `store`
+  // (null in process mode: children read their own). With `reuse`
+  // (incremental what-if, core/incremental.h), only nodes in
+  // reuse->rebuild recompute; all others adopt the converged base
+  // artifacts.
   RoundMetrics BuildDataPlanes(
       const cp::RibStore* store,
       const Worker::ReusableDataPlane* reuse = nullptr);

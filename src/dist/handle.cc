@@ -25,14 +25,12 @@ bool LocalWorkerHandle::ComputeAndShip() { return worker_->ComputeAndShip(); }
 
 void LocalWorkerHandle::Deliver() { worker_->Deliver(); }
 
-void LocalWorkerHandle::SpillBgp(cp::RibStore& store, int shard) {
-  worker_->SpillBgp(store, shard);
+void LocalWorkerHandle::SpillBgp(cp::RibStore* store, int shard) {
+  spilled_routes_ += worker_->SpillBgp(*store, shard);
 }
 
-void LocalWorkerHandle::RetainBgp() { worker_->RetainBgp(); }
-
 void LocalWorkerHandle::BuildDataPlane(const cp::RibStore* store) {
-  worker_->BuildDataPlane(store);
+  worker_->BuildDataPlane(*store);
 }
 
 std::map<topo::NodeId, std::vector<uint8_t>>
@@ -97,16 +95,6 @@ size_t LocalWorkerHandle::forwarding_steps() const {
 
 cp::AttrPool::Stats LocalWorkerHandle::attr_stats() const {
   return worker_->attr_pool().stats();
-}
-
-size_t LocalWorkerHandle::CountBestRoutes() const {
-  size_t total = 0;
-  for (topo::NodeId id : worker_->local_nodes()) {
-    for (const auto& [prefix, routes] : worker_->node(id).bgp_routes()) {
-      total += routes.size();
-    }
-  }
-  return total;
 }
 
 }  // namespace s2::dist

@@ -22,16 +22,19 @@ class WorkerHandle {
   // ------------------------------------------------- control plane (CPO)
   virtual void BeginOspf() = 0;
   virtual void FinishOspf() = 0;
-  // `shard_index` is the plan index behind `shard` (-1 = unsharded); a
-  // process-backed worker re-derives the prefix set from the index so the
-  // shard never crosses the wire.
+  // `shard_index` is the plan index behind `shard`; a process-backed
+  // worker re-derives the prefix set from the index so the shard never
+  // crosses the wire.
   virtual void BeginBgp(const cp::PrefixSet* shard, int shard_index) = 0;
   virtual bool ComputeAndShip() = 0;
   virtual void Deliver() = 0;
-  virtual void SpillBgp(cp::RibStore& store, int shard) = 0;
-  virtual void RetainBgp() = 0;
+  // Spills the converged shard `shard` and counts its routes into
+  // spilled_routes(). `store` is the controller's spill store; it is null
+  // in process mode, where each child spills into a segment of its own.
+  virtual void SpillBgp(cp::RibStore* store, int shard) = 0;
 
   // --------------------------------------------------- data plane (DPO)
+  // Builds FIBs from the spills (`store` as for SpillBgp).
   virtual void BuildDataPlane(const cp::RibStore* store) = 0;
   virtual std::map<topo::NodeId, std::vector<uint8_t>>
   SnapshotPredicates() = 0;
@@ -65,9 +68,9 @@ class WorkerHandle {
   virtual bdd::Manager::CacheStats bdd_cache_stats() const = 0;
   virtual size_t forwarding_steps() const = 0;
   virtual cp::AttrPool::Stats attr_stats() const = 0;
-  // Converged best routes held by this worker (unsharded runs; sharded
-  // totals come from the spill store / spill responses).
-  virtual size_t CountBestRoutes() const = 0;
+  // Converged best-route entries this worker has spilled (an ECMP set
+  // counts once per path).
+  size_t spilled_routes() const { return spilled_routes_; }
   // PIDs of every OS process this handle ever spawned (empty for local
   // workers); tests assert none survive teardown.
   virtual std::vector<int> spawned_pids() const { return {}; }
@@ -80,6 +83,9 @@ class WorkerHandle {
   const Worker* local() const {
     return const_cast<WorkerHandle*>(this)->local();
   }
+
+ protected:
+  size_t spilled_routes_ = 0;
 };
 
 // The historical in-process execution mode. Every call forwards to the
@@ -95,8 +101,7 @@ class LocalWorkerHandle : public WorkerHandle {
   void BeginBgp(const cp::PrefixSet* shard, int shard_index) override;
   bool ComputeAndShip() override;
   void Deliver() override;
-  void SpillBgp(cp::RibStore& store, int shard) override;
-  void RetainBgp() override;
+  void SpillBgp(cp::RibStore* store, int shard) override;
 
   void BuildDataPlane(const cp::RibStore* store) override;
   std::map<topo::NodeId, std::vector<uint8_t>> SnapshotPredicates() override;
@@ -117,7 +122,6 @@ class LocalWorkerHandle : public WorkerHandle {
   bdd::Manager::CacheStats bdd_cache_stats() const override;
   size_t forwarding_steps() const override;
   cp::AttrPool::Stats attr_stats() const override;
-  size_t CountBestRoutes() const override;
 
   Worker* local() override { return worker_.get(); }
 

@@ -85,7 +85,7 @@ WorkerCommand GetCommandByte(const std::vector<uint8_t>& bytes, size_t& pos) {
   }
   uint8_t raw = bytes[pos++];
   if (raw < static_cast<uint8_t>(WorkerCommand::kInit) ||
-      raw > static_cast<uint8_t>(WorkerCommand::kCountRoutes)) {
+      raw > static_cast<uint8_t>(WorkerCommand::kResetPeak)) {
     throw util::WireFormatError("unknown worker command byte");
   }
   return static_cast<WorkerCommand>(raw);
@@ -206,7 +206,7 @@ CtrlFrame DecodeCtrlFrame(const std::vector<uint8_t>& bytes) {
         throw util::WireFormatError("control response truncated");
       }
       uint8_t raw_status = bytes[pos++];
-      if (raw_status > static_cast<uint8_t>(CtrlStatus::kError)) {
+      if (raw_status > static_cast<uint8_t>(CtrlStatus::kSpillFailed)) {
         throw util::WireFormatError("unknown control status byte");
       }
       frame.status = static_cast<CtrlStatus>(raw_status);
@@ -410,6 +410,23 @@ void DecodeOomError(const std::vector<uint8_t>& bytes, std::string* domain,
   CheckConsumed(bytes, pos, "oom error");
 }
 
+std::vector<uint8_t> EncodeSpillError(const util::SpillError& error) {
+  std::vector<uint8_t> out;
+  PutString(out, error.op());
+  PutString(out, error.path());
+  PutWireU32(out, static_cast<uint32_t>(error.error()));
+  return out;
+}
+
+util::SpillError DecodeSpillError(const std::vector<uint8_t>& bytes) {
+  size_t pos = 0;
+  std::string op = GetString(bytes, pos);
+  std::string path = GetString(bytes, pos);
+  int error = static_cast<int>(GetWireU32(bytes, pos));
+  CheckConsumed(bytes, pos, "spill error");
+  return util::SpillError(op, path, error);
+}
+
 // --------------------------------------------------------- stream framing
 
 bool WriteFrameFd(int fd, const std::vector<uint8_t>& payload) {
@@ -536,6 +553,12 @@ ProcessWorkerHandle::ProcessWorkerHandle(uint32_t index, std::string binary,
     ReapChild();
     throw util::WorkerLost(index_, "failed to start worker process: " +
                                        failure.reason);
+  } catch (...) {
+    // The child is alive but refused its init (a spill segment it cannot
+    // open, unparsable configs): no destructor will run for a handle whose
+    // constructor throws, so shut the child down here.
+    Shutdown();
+    throw;
   }
 }
 
@@ -929,6 +952,8 @@ void ProcessWorkerHandle::ThrowResponseError(const CtrlFrame& response) {
       DecodeOomError(response.payload, &domain, &requested, &budget);
       throw util::SimulatedOom(domain, requested, budget);
     }
+    case CtrlStatus::kSpillFailed:
+      throw DecodeSpillError(response.payload);
     case CtrlStatus::kTimeout:
       throw util::SimulatedTimeout("worker " + std::to_string(index_) +
                                    ": " + detail);
@@ -1111,10 +1136,9 @@ void ProcessWorkerHandle::Deliver() {
   }
 }
 
-void ProcessWorkerHandle::SpillBgp(cp::RibStore& /*store*/, int shard) {
+void ProcessWorkerHandle::SpillBgp(cp::RibStore* /*store*/, int shard) {
   // The authoritative spill bytes live in the child's own store; the
-  // controller-side store is bypassed (TotalBestRoutes sums the handles'
-  // counts instead of its routes_written).
+  // controller keeps the shipped blobs to re-seed a respawned child.
   CtrlFrame frame;
   frame.type = CtrlType::kCommand;
   frame.command = WorkerCommand::kSpillBgp;
@@ -1125,14 +1149,6 @@ void ProcessWorkerHandle::SpillBgp(cp::RibStore& /*store*/, int shard) {
   }
   spilled_routes_ += response.aux;
   Journal(WorkerCommand::kSpillBgp, shard);
-}
-
-void ProcessWorkerHandle::RetainBgp() {
-  CtrlFrame frame;
-  frame.type = CtrlType::kCommand;
-  frame.command = WorkerCommand::kRetainBgp;
-  RoundTrip(frame);
-  Journal(WorkerCommand::kRetainBgp, -1);
 }
 
 void ProcessWorkerHandle::BuildDataPlane(const cp::RibStore* /*store*/) {
@@ -1247,22 +1263,6 @@ double ProcessWorkerHandle::gc_pressure() const {
   if (memory_budget_ == 0) return 0;
   return static_cast<double>(live_bytes_) /
          static_cast<double>(memory_budget_);
-}
-
-size_t ProcessWorkerHandle::CountBestRoutes() const {
-  // Sharded runs: converged routes were spilled (and counted) shard by
-  // shard; the retained-RIB count below would read back zero.
-  if (spilled_routes_ > 0) return spilled_routes_;
-  // A lost worker (respawn budget exhausted) keeps its cached count: the
-  // run already failed with WorkerLost, and metric collection on the way
-  // out must not try to respawn it again.
-  if (lost_ || shut_down_) return spilled_routes_;
-  CtrlFrame frame;
-  frame.type = CtrlType::kCommand;
-  frame.command = WorkerCommand::kCountRoutes;
-  CtrlFrame response =
-      const_cast<ProcessWorkerHandle*>(this)->RoundTrip(frame);
-  return response.aux;
 }
 
 }  // namespace s2::dist

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "dist/handle.h"
+#include "util/status.h"
 
 namespace s2::dist {
 
@@ -108,14 +109,12 @@ enum class WorkerCommand : uint8_t {
   kComputeAndShip = 5,
   kDeliver = 6,
   kSpillBgp = 7,
-  kRetainBgp = 8,
-  kBuildDataPlane = 9,
-  kSnapshotPredicates = 10,
-  kCheckpoint = 11,
-  kCheckpointDataPlane = 12,
-  kRestore = 13,
-  kResetPeak = 14,
-  kCountRoutes = 15,
+  kBuildDataPlane = 8,
+  kSnapshotPredicates = 9,
+  kCheckpoint = 10,
+  kCheckpointDataPlane = 11,
+  kRestore = 12,
+  kResetPeak = 13,
 };
 
 enum class CtrlStatus : uint8_t {
@@ -123,6 +122,7 @@ enum class CtrlStatus : uint8_t {
   kOom = 1,      // payload: EncodeOomError
   kTimeout = 2,  // payload: what() string
   kError = 3,    // payload: what() string
+  kSpillFailed = 4,  // payload: EncodeSpillError
 };
 
 struct CtrlFrame {
@@ -152,7 +152,7 @@ struct CtrlFrame {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
-  // Command-specific scalar (spilled/counted routes).
+  // Command-specific scalar (kSpillBgp: routes spilled).
   uint64_t aux = 0;
 
   // kData / kDeliver: one EncodeMessage blob. Commands/responses: the
@@ -162,7 +162,9 @@ struct CtrlFrame {
   std::vector<uint8_t> payload;
 };
 
-constexpr uint32_t kCtrlProtocolVersion = 1;
+// Version 2: the retained-RIB commands are gone (every run spills), the
+// command bytes are renumbered densely, and kSpillFailed is a status.
+constexpr uint32_t kCtrlProtocolVersion = 2;
 
 std::vector<uint8_t> EncodeCtrlFrame(const CtrlFrame& frame);
 CtrlFrame DecodeCtrlFrame(const std::vector<uint8_t>& bytes);
@@ -231,6 +233,11 @@ std::vector<uint8_t> EncodeOomError(const std::string& domain,
 void DecodeOomError(const std::vector<uint8_t>& bytes, std::string* domain,
                     uint64_t* requested, uint64_t* budget);
 
+// kSpillFailed payload: op, path and errno of a util::SpillError, enough
+// to rethrow an identical one controller-side.
+std::vector<uint8_t> EncodeSpillError(const util::SpillError& error);
+util::SpillError DecodeSpillError(const std::vector<uint8_t>& bytes);
+
 // Reads/writes one [u32 LE length | payload] frame on a stream fd.
 // WriteFrameFd returns false on a broken pipe; ReadFrameFd returns false
 // on clean EOF at a frame boundary and throws util::WireFormatError on a
@@ -265,8 +272,7 @@ class ProcessWorkerHandle : public WorkerHandle {
   void BeginBgp(const cp::PrefixSet* shard, int shard_index) override;
   bool ComputeAndShip() override;
   void Deliver() override;
-  void SpillBgp(cp::RibStore& store, int shard) override;
-  void RetainBgp() override;
+  void SpillBgp(cp::RibStore* store, int shard) override;
 
   void BuildDataPlane(const cp::RibStore* store) override;
   std::map<topo::NodeId, std::vector<uint8_t>> SnapshotPredicates() override;
@@ -296,7 +302,6 @@ class ProcessWorkerHandle : public WorkerHandle {
   // counters are not mirrored (the attr.* report metrics read zero in
   // process mode).
   cp::AttrPool::Stats attr_stats() const override { return {}; }
-  size_t CountBestRoutes() const override;
   std::vector<int> spawned_pids() const override { return spawned_pids_; }
 
   Worker* local() override { return nullptr; }
@@ -393,10 +398,8 @@ class ProcessWorkerHandle : public WorkerHandle {
   fault::WorkerCheckpoint mirror_;
   bool mirror_valid_ = false;
 
-  // Spill blobs the child shipped (re-seeded into a respawned child) and
-  // the route count they carried (TotalBestRoutes in sharded runs).
+  // Spill blobs the child shipped (re-seeded into a respawned child).
   std::map<std::pair<int32_t, topo::NodeId>, std::vector<uint8_t>> spills_;
-  uint64_t spilled_routes_ = 0;
 
   std::vector<JournalEntry> journal_;
 

@@ -115,12 +115,12 @@ void Worker::DeliverBatch(std::vector<Message> messages) {
   }
 }
 
-void Worker::SpillBgp(cp::RibStore& store, int shard) {
-  for (topo::NodeId id : local_) nodes_.at(id)->SpillBgp(store, shard);
-}
-
-void Worker::RetainBgp() {
-  for (topo::NodeId id : local_) nodes_.at(id)->RetainBgp();
+size_t Worker::SpillBgp(cp::RibStore& store, int shard) {
+  size_t routes = 0;
+  for (topo::NodeId id : local_) {
+    routes += nodes_.at(id)->SpillBgp(store, shard);
+  }
+  return routes;
 }
 
 // ------------------------------------------------------------- data plane
@@ -140,7 +140,7 @@ void Worker::NewDataPlane() {
   manager_ = std::move(manager);
 }
 
-void Worker::BuildDataPlane(const cp::RibStore* store,
+void Worker::BuildDataPlane(const cp::RibStore& store,
                             const ReusableDataPlane* reuse) {
   ResetDataPlane();
   util::Stopwatch watch;
@@ -159,15 +159,8 @@ void Worker::BuildDataPlane(const cp::RibStore* store,
       fib_edges_[id] = reuse->fib_edges->at(id);
       continue;
     }
-    const cp::Node& node = *nodes_.at(id);
-    std::map<util::IpPrefix, std::vector<cp::Route>> from_store;
-    const auto* bgp = &node.bgp_routes();
-    if (store != nullptr) {
-      from_store = store->ReadAll(id, attr_pool_);
-      bgp = &from_store;
-    }
-    dp::Fib fib = dp::Fib::Build(*network_, id, *bgp, node.ospf_routes(),
-                                 &tracker_);
+    dp::Fib fib = dp::Fib::Build(*network_, id, store.ReadAll(id, attr_pool_),
+                                 nodes_.at(id)->ospf_routes(), &tracker_);
     fib_bytes_ += fib.EstimateBytes();
     node_fib_bytes_[id] = fib.EstimateBytes();
     fib_edges_[id] = fib.ForwardEdges();

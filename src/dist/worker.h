@@ -66,8 +66,10 @@ class Worker {
   // node pull from each neighbor — real or shadow — identically.
   void Deliver();
 
-  void SpillBgp(cp::RibStore& store, int shard);
-  void RetainBgp();
+  // Spills every local node's converged shard results to `store` (the
+  // end of every BGP shard, an unsharded run's single shard included).
+  // Returns the route entries written.
+  size_t SpillBgp(cp::RibStore& store, int shard);
 
   // --------------------------------------------------- data plane (DPO)
   // Converged per-node artifacts an incremental what-if run adopts
@@ -83,12 +85,12 @@ class Worker {
   };
 
   // Builds FIBs and port predicates for local nodes, replacing any
-  // existing data plane. Reads converged BGP routes from `store` when
-  // sharding spilled them, else from the nodes. With `reuse`, a local node
+  // existing data plane. Reads converged BGP routes from `store`, where
+  // every shard spilled them. With `reuse`, a local node
   // outside reuse->rebuild instead re-encodes the base run's predicate
   // bytes into the fresh domain (byte-equal predicates mean byte-equal
   // forwarding) and adopts its forward edges and FIB accounting.
-  void BuildDataPlane(const cp::RibStore* store,
+  void BuildDataPlane(const cp::RibStore& store,
                       const ReusableDataPlane* reuse = nullptr);
 
   // Installs a query: waypoint write rules and injections at local

@@ -6,6 +6,9 @@
 // Re-derives everything heavy from the init spec — the configs are
 // re-parsed and the shard plan rebuilt with the controller's seed — so
 // only raw texts, the node assignment, and blobs ever cross the wire.
+// Every child opens its own spill segment at init: converged shards are
+// spilled there, FIBs read from there, and each spill response ships the
+// shard's blobs up so the controller can re-seed a respawned child.
 //
 // Cross-worker routing stays controller-side: this process's sidecar
 // fabric is a private, direct-mode instance used purely as the Worker's
@@ -38,8 +41,8 @@ namespace {
 struct ChildState {
   WorkerInitSpec spec;
   std::optional<config::ParsedNetwork> network;
-  std::optional<cp::ShardPlan> plan;
-  std::shared_ptr<cp::RibStore> store;
+  cp::ShardPlan plan;
+  std::unique_ptr<cp::RibStore> store;
   std::unique_ptr<SidecarFabric> fabric;
   std::unique_ptr<Worker> worker;
   Worker::Options worker_options;
@@ -61,11 +64,11 @@ class FrameWriter {
 
 const cp::PrefixSet* ResolveShard(ChildState& state, int shard) {
   if (shard < 0) return nullptr;
-  if (!state.plan || shard >= static_cast<int>(state.plan->num_shards())) {
+  if (shard >= static_cast<int>(state.plan.num_shards())) {
     throw std::runtime_error("shard index out of range: " +
                              std::to_string(shard));
   }
-  return &state.plan->shard(shard);
+  return &state.plan.shard(shard);
 }
 
 void InitState(ChildState& state, const WorkerInitSpec& spec) {
@@ -76,12 +79,9 @@ void InitState(ChildState& state, const WorkerInitSpec& spec) {
   }
   state.spec = spec;
   state.network = config::ParseNetwork(spec.config_texts);
-  if (spec.num_shards > 0) {
-    state.plan = cp::BuildShardPlan(*state.network, spec.num_shards,
-                                    spec.seed);
-    cp::RepairShardPlan(*state.network, *state.plan);
-    state.store = std::make_shared<cp::RibStore>();
-  }
+  state.plan = cp::BuildShardPlan(*state.network, spec.num_shards, spec.seed);
+  cp::RepairShardPlan(*state.network, state.plan);
+  state.store = std::make_unique<cp::RibStore>();
   state.fabric = std::make_unique<SidecarFabric>(spec.num_workers,
                                                  spec.assignment);
   state.worker_options.memory_budget = spec.memory_budget;
@@ -119,11 +119,9 @@ void Restore(ChildState& state, const WorkerRestoreSpec& spec) {
   // Fresh store seeded with the dead predecessor's spills, fresh worker
   // restored from the checkpoint — exactly what a cold process would have
   // held at the barrier — then the lost rounds replayed.
-  if (state.plan) {
-    state.store = std::make_shared<cp::RibStore>();
-    for (const SpillBlob& blob : spec.spills) {
-      state.store->SeedBlob(blob.shard, blob.node, blob.bytes);
-    }
+  state.store = std::make_unique<cp::RibStore>();
+  for (const SpillBlob& blob : spec.spills) {
+    state.store->SeedBlob(blob.shard, blob.node, blob.bytes);
   }
   state.worker = std::make_unique<Worker>(state.spec.index, *state.network,
                                           state.fabric.get(),
@@ -241,13 +239,7 @@ int RunWorker(int fd, uint32_t index, int heartbeat_ms) {
           break;
         }
         case WorkerCommand::kSpillBgp: {
-          Worker& w = need_worker();
-          if (state.store == nullptr) {
-            throw std::runtime_error("spill without a shard plan");
-          }
-          size_t routes_before = state.store->routes_written();
-          w.SpillBgp(*state.store, frame.shard);
-          response.aux = state.store->routes_written() - routes_before;
+          response.aux = need_worker().SpillBgp(*state.store, frame.shard);
           std::vector<SpillBlob> blobs;
           for (auto& [node, bytes] : state.store->Blobs(frame.shard)) {
             blobs.push_back(SpillBlob{frame.shard, node, std::move(bytes)});
@@ -255,11 +247,8 @@ int RunWorker(int fd, uint32_t index, int heartbeat_ms) {
           response.payload = EncodeSpillBlobs(blobs);
           break;
         }
-        case WorkerCommand::kRetainBgp:
-          need_worker().RetainBgp();
-          break;
         case WorkerCommand::kBuildDataPlane:
-          need_worker().BuildDataPlane(state.store.get());
+          need_worker().BuildDataPlane(*state.store);
           break;
         case WorkerCommand::kSnapshotPredicates:
           response.payload =
@@ -285,21 +274,13 @@ int RunWorker(int fd, uint32_t index, int heartbeat_ms) {
         case WorkerCommand::kResetPeak:
           need_worker().tracker().ResetPeak();
           break;
-        case WorkerCommand::kCountRoutes: {
-          Worker& w = need_worker();
-          uint64_t total = 0;
-          for (topo::NodeId id : w.local_nodes()) {
-            for (const auto& [prefix, routes] : w.node(id).bgp_routes()) {
-              total += routes.size();
-            }
-          }
-          response.aux = total;
-          break;
-        }
       }
     } catch (const util::SimulatedOom& e) {
       response.status = CtrlStatus::kOom;
       response.payload = EncodeOomError(e.domain(), e.requested(), e.budget());
+    } catch (const util::SpillError& e) {
+      response.status = CtrlStatus::kSpillFailed;
+      response.payload = EncodeSpillError(e);
     } catch (const util::SimulatedTimeout& e) {
       response.status = CtrlStatus::kTimeout;
       const char* what = e.what();

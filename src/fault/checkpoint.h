@@ -22,7 +22,7 @@ namespace s2::fault {
 
 struct WorkerCheckpoint {
   // The prefix shard active when the snapshot was taken (-1 = none: OSPF
-  // pass, unsharded BGP, or idle).
+  // pass or idle).
   int shard = -1;
   // The fabric's completed-drain round at the barrier; replay re-executes
   // rounds [fabric_round, crash round).

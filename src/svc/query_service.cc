@@ -71,24 +71,18 @@ std::vector<QueryService::Served> QueryService::ServeBatch(
     stats_.snapshot_misses += queries.size();
     return served;
   }
-  // Group compatible queries: same lane (domain affinity) and same
-  // admitted worker set execute back to back, so the group's scoped
-  // domains and op caches stay hot. Keys are ordered for determinism.
-  struct Group {
-    std::vector<size_t> indices;
-  };
-  std::map<std::pair<size_t, std::vector<uint32_t>>, Group> groups;
+  // Group by lane (domain affinity), input order within a lane, lanes in
+  // ascending order: each group runs back to back under one lock, so the
+  // lane's domains and op caches stay hot. Grouping needs no forward cone;
+  // ServeLocked computes one only on a cache miss.
+  std::map<size_t, std::vector<size_t>> groups;
   for (size_t q = 0; q < queries.size(); ++q) {
-    std::vector<uint32_t> scope;
-    if (options_.scope_admission) {
-      scope = ScopeWorkers(*ref, queries[q]);
-    }
-    groups[{LaneFor(queries[q]), std::move(scope)}].indices.push_back(q);
+    groups[LaneFor(queries[q])].push_back(q);
   }
-  for (auto& [key, group] : groups) {
-    Lane& lane = *lanes_[key.first];
+  for (const auto& [lane_index, indices] : groups) {
+    Lane& lane = *lanes_[lane_index];
     std::lock_guard<std::mutex> lock(lane.mutex);
-    for (size_t q : group.indices) {
+    for (size_t q : indices) {
       served[q] = ServeLocked(lane, ref, queries[q]);
     }
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);

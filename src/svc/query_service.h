@@ -72,7 +72,7 @@ class QueryService {
 
   struct Stats {
     size_t queries = 0;
-    size_t batches = 0;  // compatible groups executed by ServeBatch
+    size_t batches = 0;  // lane groups executed by ServeBatch
     size_t cache_hits = 0;
     size_t cache_misses = 0;
     size_t cache_evictions = 0;
@@ -95,10 +95,10 @@ class QueryService {
   // on different lanes proceed in parallel.
   Served Serve(const dp::Query& query);
 
-  // Serves a batch: queries are grouped by (lane, admitted worker set) and
-  // each compatible group executes back to back on its lane — scoped
-  // domains stay hot within the group. Results come back in input order,
-  // all against one consistent epoch.
+  // Serves a batch: queries are grouped by lane, in input order within a
+  // lane, and each group executes back to back on its lane — its domains
+  // stay hot within the group. Results come back in input order, all
+  // against one consistent epoch.
   std::vector<Served> ServeBatch(const std::vector<dp::Query>& queries);
 
   // What-if mode: "would these verdicts survive `scenario`?" against the

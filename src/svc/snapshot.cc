@@ -9,7 +9,6 @@ namespace s2::svc {
 Snapshot CaptureSnapshot(const dist::Controller& controller) {
   Snapshot snapshot;
   snapshot.options = controller.options();
-  snapshot.shard_plan = controller.shard_plan();
   snapshot.worker_of = controller.partition().assignment;
   // A private copy: the controller may be mutated or destroyed while
   // queries are still being served against this epoch.

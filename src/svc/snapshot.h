@@ -21,12 +21,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "config/parser.h"
 #include "cp/rib.h"
-#include "cp/shard.h"
 #include "dist/controller.h"
 #include "dist/query_executor.h"
 #include "dp/fib.h"
@@ -43,16 +41,13 @@ struct Snapshot {
   // an incremental what-if re-run of a scenario inherits it
   // (core/incremental.h).
   dist::ControllerOptions options;
-  // The shard plan whose converged spills rib_spills holds (nullopt when
-  // sharding was off; what-if then degrades to a full re-run).
-  std::optional<cp::ShardPlan> shard_plan;
-
   // worker_of[node] = owning worker (the partition assignment).
   std::vector<uint32_t> worker_of;
 
   // Shared, read-only after convergence: the parsed network (verdict
-  // evaluation needs announced prefixes) and the per-shard RIB spills
-  // (null when sharding was off).
+  // evaluation needs announced prefixes) and the store holding every
+  // shard's converged RIB spills (an unsharded run's single shard
+  // included; never null).
   std::shared_ptr<const config::ParsedNetwork> network;
   std::shared_ptr<const cp::RibStore> rib_spills;
 

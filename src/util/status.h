@@ -70,7 +70,22 @@ class SpillError : public std::runtime_error {
   SpillError(const std::string& op, const std::string& path, int error)
       : std::runtime_error("spill " + op + " failed on '" + path +
                            "': " + std::strerror(error) + " (errno " +
-                           std::to_string(error) + ")") {}
+                           std::to_string(error) + ")"),
+        op_(op),
+        path_(path),
+        error_(error) {}
+
+  // The failed operation ("open", "write", "read"), the file or directory
+  // it failed on, and errno — what the process-mode control channel ships
+  // to rethrow an identical error controller-side.
+  const std::string& op() const { return op_; }
+  const std::string& path() const { return path_; }
+  int error() const { return error_; }
+
+ private:
+  std::string op_;
+  std::string path_;
+  int error_;
 };
 
 // Thrown by the wire deserializers (cp/route.cc, dist/message.cc,

@@ -76,13 +76,8 @@ RunOutcome RunVerifier(const config::ParsedNetwork& net, const dp::Query& query,
   RunOutcome outcome;
   outcome.result = verifier.Verify(net, {query});
   Controller* controller = verifier.last_controller();
-  if (shards == 0) {
-    for (size_t w = 0; w < controller->num_workers(); ++w) {
-      Worker& worker = controller->worker(w);
-      for (topo::NodeId id : worker.local_nodes()) {
-        outcome.ribs[id] = worker.node(id).bgp_routes();
-      }
-    }
+  for (topo::NodeId id = 0; id < net.configs.size(); ++id) {
+    outcome.ribs[id] = testing::BestRoutes(*controller->rib_store(), id);
   }
   outcome.fib_hashes = FibHashes(controller);
   return outcome;

@@ -23,11 +23,11 @@ TEST(CpoTest, PerShardMetricsCoverThePlan) {
   options.num_shards = 6;
   Controller controller(net, options);
   controller.Setup();
-  ASSERT_TRUE(controller.shard_plan().has_value());
+  ASSERT_GT(controller.shard_plan().num_shards(), 1u);
   RoundMetrics total = controller.RunControlPlane();
 
   const std::vector<ShardMetrics>& shards = controller.shard_metrics();
-  ASSERT_EQ(shards.size(), controller.shard_plan()->num_shards());
+  ASSERT_EQ(shards.size(), controller.shard_plan().num_shards());
   int rounds = 0;
   double modeled = 0;
   for (const ShardMetrics& shard : shards) {
@@ -55,15 +55,25 @@ TEST(CpoTest, ObservedPeakIsMaxOfShardPeaks) {
   EXPECT_EQ(controller.MaxWorkerPeakBytes(), max_shard_peak);
 }
 
-TEST(CpoTest, UnshardedRunsHaveNoShardMetrics) {
+// An unsharded run is one shard holding the whole BGP prefix universe,
+// spilled like any other: one shard record, every route in the store.
+TEST(CpoTest, UnshardedRunIsOneSpilledShard) {
   auto net = FatTree4();
   ControllerOptions options;
   options.num_workers = 2;
   Controller controller(net, options);
   controller.Setup();
+  ASSERT_EQ(controller.shard_plan().num_shards(), 1u);
+  EXPECT_EQ(controller.shard_plan().total_prefixes(),
+            cp::CollectBgpPrefixes(net).size());
   controller.RunControlPlane();
-  EXPECT_TRUE(controller.shard_metrics().empty());
+  ASSERT_EQ(controller.shard_metrics().size(), 1u);
+  EXPECT_EQ(controller.MaxWorkerPeakBytes(),
+            controller.shard_metrics()[0].max_worker_peak);
   EXPECT_GT(controller.MaxWorkerPeakBytes(), 0u);
+  EXPECT_GT(controller.TotalBestRoutes(), 0u);
+  EXPECT_EQ(controller.TotalBestRoutes(),
+            controller.rib_store()->routes_written());
 }
 
 TEST(CpoTest, RoundLatencyEntersModeledTime) {

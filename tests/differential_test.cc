@@ -103,8 +103,9 @@ Oracle RunOracle(const config::ParsedNetwork& net, const dp::Query& query) {
   bdd::Manager manager(layout.total_bits());
   dp::PacketCodec codec(&manager, layout);
   for (const auto& node : mono.last_engine()->nodes()) {
-    oracle.ribs.push_back(node->bgp_routes());
-    dp::Fib fib = dp::Fib::Build(net, node->id(), node->bgp_routes(),
+    oracle.ribs.push_back(
+        testing::BestRoutes(*mono.last_rib_store(), node->id()));
+    dp::Fib fib = dp::Fib::Build(net, node->id(), oracle.ribs.back(),
                                  node->ospf_routes(), &tracker);
     oracle.fib_bytes[node->id()] = fault::SerializePredicates(
         dp::BuildPredicates(net, node->id(), fib, codec));
@@ -160,7 +161,8 @@ void CheckS2AgainstOracle(const config::ParsedNetwork& net,
   for (size_t w = 0; w < controller->num_workers(); ++w) {
     dist::Worker& worker = controller->worker(w);
     for (topo::NodeId id : worker.local_nodes()) {
-      EXPECT_EQ(worker.node(id).bgp_routes(), oracle.ribs[id])
+      EXPECT_EQ(testing::BestRoutes(*controller->rib_store(), id),
+                oracle.ribs[id])
           << label << " RIB of node " << id;
     }
     for (const auto& [id, bytes] : worker.SnapshotPredicates()) {

@@ -300,7 +300,8 @@ Baseline RunMono(const config::ParsedNetwork& net, const dp::Query& query) {
   core::MonoVerifier mono{core::MonoOptions{}};
   baseline.result = mono.Verify(net, {query});
   for (const auto& node : mono.last_engine()->nodes()) {
-    baseline.ribs.push_back(node->bgp_routes());
+    baseline.ribs.push_back(
+        testing::BestRoutes(*mono.last_rib_store(), node->id()));
   }
   return baseline;
 }
@@ -337,18 +338,15 @@ TEST_P(DistEquivalenceTest, FatTreeMatchesMonoExactly) {
             baseline.result.queries[0].blackhole_finals > 0);
   EXPECT_EQ(result.total_best_routes, baseline.result.total_best_routes);
 
-  // Identical RIBs, node by node (the §5.3 claim). Without sharding the
-  // routes live in the worker nodes; with sharding they were spilled, so
-  // compare through the workers' own retained/spilled state only in the
-  // retained case.
-  if (shards == 0) {
-    Controller* controller = verifier.last_controller();
-    for (size_t w = 0; w < controller->num_workers(); ++w) {
-      Worker& worker = controller->worker(w);
-      for (topo::NodeId id : worker.local_nodes()) {
-        EXPECT_EQ(worker.node(id).bgp_routes(), baseline.ribs[id])
-            << "node " << id;
-      }
+  // Identical RIBs, node by node (the §5.3 claim), read back from the
+  // spill store every run converges into, sharded or not.
+  Controller* controller = verifier.last_controller();
+  for (size_t w = 0; w < controller->num_workers(); ++w) {
+    Worker& worker = controller->worker(w);
+    for (topo::NodeId id : worker.local_nodes()) {
+      EXPECT_EQ(testing::BestRoutes(*controller->rib_store(), id),
+                baseline.ribs[id])
+          << "node " << id;
     }
   }
 }
@@ -406,8 +404,8 @@ TEST(DistEquivalenceOspfTest, MixedProtocolsMatchMono) {
   for (size_t w = 0; w < controller->num_workers(); ++w) {
     Worker& worker = controller->worker(w);
     for (topo::NodeId id : worker.local_nodes()) {
-      EXPECT_EQ(worker.node(id).bgp_routes(),
-                mono.last_engine()->node(id).bgp_routes());
+      EXPECT_EQ(testing::BestRoutes(*controller->rib_store(), id),
+                testing::BestRoutes(*mono.last_rib_store(), id));
       EXPECT_EQ(worker.node(id).ospf_routes(),
                 mono.last_engine()->node(id).ospf_routes());
     }
@@ -447,11 +445,12 @@ TEST(WorkerTest, PhasesExchangeAcrossTheFabric) {
     w0.Deliver();
     w1.Deliver();
   }
-  w0.RetainBgp();
-  w1.RetainBgp();
+  cp::RibStore store;
+  w0.SpillBgp(store, 0);
+  w1.SpillBgp(store, 0);
   // Each node ends with all 4 prefixes (2 loopbacks + 2 /24s).
-  EXPECT_EQ(w0.node(0).bgp_routes().size(), 4u);
-  EXPECT_EQ(w1.node(1).bgp_routes().size(), 4u);
+  EXPECT_EQ(testing::BestRoutes(store, 0).size(), 4u);
+  EXPECT_EQ(testing::BestRoutes(store, 1).size(), 4u);
 }
 
 TEST(DistQueryTest, PathsStitchAcrossWorkers) {

@@ -16,12 +16,13 @@ TEST(MonoEngineTest, FatTree4AllPrefixesEverywhere) {
   params.k = 4;
   auto parsed = testing::Parse(topo::MakeFatTree(params));
   MonoEngine engine(parsed, nullptr);
-  engine.Run(nullptr, nullptr);
+  auto store = testing::RunOneShard(engine, parsed);
   // 20 loopbacks + 8 host prefixes on every one of the 20 switches.
   size_t route_entries = 0;
   for (const auto& node : engine.nodes()) {
-    EXPECT_EQ(node->bgp_routes().size(), 28u);
-    for (const auto& [prefix, routes] : node->bgp_routes()) {
+    auto rib = testing::BestRoutes(*store, node->id());
+    EXPECT_EQ(rib.size(), 28u);
+    for (const auto& [prefix, routes] : rib) {
       route_entries += routes.size();
     }
   }
@@ -37,22 +38,21 @@ TEST(MonoEngineTest, FatTreeShortestPathsAndEcmp) {
   params.k = 4;
   auto parsed = testing::Parse(topo::MakeFatTree(params));
   MonoEngine engine(parsed, nullptr);
-  engine.Run(nullptr, nullptr);
+  auto store = testing::RunOneShard(engine, parsed);
   topo::NodeId e00 = parsed.graph.FindByName("edge-0-0");
   topo::NodeId e10 = parsed.graph.FindByName("edge-1-0");
   ASSERT_NE(e00, topo::kInvalidNode);
   // Cross-pod route: AS-path length 4 (agg, core, agg, edge), ECMP over
   // the 2 aggregation uplinks.
   auto p = util::MustParsePrefix("10.1.0.0/24");
-  const auto& routes = engine.node(e00).bgp_routes().at(p);
+  auto rib = testing::BestRoutes(*store, e00);
+  const auto& routes = rib.at(p);
   EXPECT_EQ(routes.front().as_path().size(), 4u);
   EXPECT_EQ(routes.size(), 2u);
   EXPECT_EQ(routes.front().origin_node, e10);
   // Same-pod route: length 2, also ECMP 2.
   auto same_pod = util::MustParsePrefix("10.0.1.0/24");
-  EXPECT_EQ(
-      engine.node(e00).bgp_routes().at(same_pod).front().as_path().size(),
-      2u);
+  EXPECT_EQ(rib.at(same_pod).front().as_path().size(), 2u);
 }
 
 TEST(MonoEngineTest, ShardedMatchesUnshardedExactly) {
@@ -61,16 +61,16 @@ TEST(MonoEngineTest, ShardedMatchesUnshardedExactly) {
   auto parsed = testing::Parse(topo::MakeFatTree(params));
 
   MonoEngine direct(parsed, nullptr);
-  direct.Run(nullptr, nullptr);
+  auto direct_store = testing::RunOneShard(direct, parsed);
 
   ShardPlan plan = BuildShardPlan(parsed, 6);
   RibStore store;
   MonoEngine sharded(parsed, nullptr);
-  sharded.Run(&plan, &store);
+  sharded.Run(plan, store);
 
   for (topo::NodeId id = 0; id < parsed.configs.size(); ++id) {
     EXPECT_EQ(store.ReadAll(id, sharded.attr_pool()),
-              direct.node(id).bgp_routes())
+              testing::BestRoutes(*direct_store, id))
         << "node " << parsed.configs[id].hostname;
   }
 }
@@ -83,7 +83,7 @@ TEST(MonoEngineTest, OspfRunsBeforeBgp) {
   }
   auto parsed = testing::Parse(net);
   MonoEngine engine(parsed, nullptr);
-  engine.Run(nullptr, nullptr);
+  testing::RunOneShard(engine, parsed);
   EXPECT_GT(engine.stats().ospf_rounds, 0);
   EXPECT_GT(engine.stats().bgp_rounds, 0);
   // OSPF results feed the FIB path later; here just check they exist.
@@ -99,7 +99,7 @@ TEST(MonoEngineTest, OscillatingConditionalAdvertisementTimesOut) {
   EngineOptions options;
   options.max_rounds_per_pass = 30;
   MonoEngine engine(parsed, nullptr, options);
-  EXPECT_THROW(engine.Run(nullptr, nullptr), util::SimulatedTimeout);
+  EXPECT_THROW(testing::RunOneShard(engine, parsed), util::SimulatedTimeout);
 }
 
 TEST(MonoEngineTest, RemovePrivateAsOnPrivateFabricBreaksConvergence) {
@@ -134,7 +134,7 @@ TEST(MonoEngineTest, RemovePrivateAsOnPrivateFabricBreaksConvergence) {
   EngineOptions options;
   options.max_rounds_per_pass = 60;
   MonoEngine engine(parsed, nullptr, options);
-  EXPECT_THROW(engine.Run(nullptr, nullptr), util::SimulatedTimeout);
+  EXPECT_THROW(testing::RunOneShard(engine, parsed), util::SimulatedTimeout);
 }
 
 TEST(MonoEngineTest, TracksMemoryAgainstBudget) {
@@ -143,7 +143,7 @@ TEST(MonoEngineTest, TracksMemoryAgainstBudget) {
   auto parsed = testing::Parse(topo::MakeFatTree(params));
   util::MemoryTracker tight("mono", 50'000);  // far below what k=4 needs
   MonoEngine engine(parsed, &tight);
-  EXPECT_THROW(engine.Run(nullptr, nullptr), util::SimulatedOom);
+  EXPECT_THROW(testing::RunOneShard(engine, parsed), util::SimulatedOom);
 }
 
 TEST(MonoEngineTest, ShardingLowersPeakMemory) {
@@ -153,13 +153,13 @@ TEST(MonoEngineTest, ShardingLowersPeakMemory) {
 
   util::MemoryTracker unsharded("a");
   MonoEngine direct(parsed, &unsharded);
-  direct.Run(nullptr, nullptr);
+  testing::RunOneShard(direct, parsed);
 
   util::MemoryTracker shardtrack("b");
   ShardPlan plan = BuildShardPlan(parsed, 8);
   RibStore store;
   MonoEngine sharded(parsed, &shardtrack);
-  sharded.Run(&plan, &store);
+  sharded.Run(plan, store);
 
   EXPECT_LT(shardtrack.peak_bytes(), unsharded.peak_bytes());
 }

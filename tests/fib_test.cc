@@ -120,8 +120,8 @@ TEST(FibTest, ChargesTracker) {
 TEST(FibTest, EndToEndFromConvergedEngine) {
   auto net = testing::Parse(testing::MakeDiamond());
   cp::MonoEngine engine(net, nullptr);
-  engine.Run(nullptr, nullptr);
-  Fib fib = Fib::Build(net, 0, engine.node(0).bgp_routes(),
+  auto store = testing::RunOneShard(engine, net);
+  Fib fib = Fib::Build(net, 0, testing::BestRoutes(*store, 0),
                        engine.node(0).ospf_routes(), nullptr);
   const FibEntry* cross = Find(fib, "10.0.3.0/24");
   ASSERT_NE(cross, nullptr);

@@ -21,7 +21,7 @@ struct Fixture {
                    uint32_t meta_bits = 0) {
     net = testing::Parse(network);
     cp::MonoEngine cp_engine(net, nullptr);
-    cp_engine.Run(nullptr, nullptr);
+    auto store = testing::RunOneShard(cp_engine, net);
     manager = std::make_unique<bdd::Manager>(32 + meta_bits);
     codec = std::make_unique<PacketCodec>(manager.get(),
                                           HeaderLayout{32, 0, meta_bits});
@@ -29,7 +29,8 @@ struct Fixture {
     options.max_hops = max_hops;
     engine = std::make_unique<ForwardingEngine>(*codec, options);
     for (const auto& node : cp_engine.nodes()) {
-      Fib fib = Fib::Build(net, node->id(), node->bgp_routes(),
+      Fib fib = Fib::Build(net, node->id(),
+                           testing::BestRoutes(*store, node->id()),
                            node->ospf_routes(), nullptr);
       engine->AddNode(node->id(),
                       BuildPredicates(net, node->id(), fib, *codec));
@@ -143,13 +144,13 @@ TEST(ForwardingTest, IngressAclDropsBecomeBlackholes) {
 TEST(ForwardingTest, RemoteHopsGoThroughEmit) {
   auto net = testing::Parse(testing::MakeChain(3));
   cp::MonoEngine cp_engine(net, nullptr);
-  cp_engine.Run(nullptr, nullptr);
+  auto store = testing::RunOneShard(cp_engine, net);
   bdd::Manager manager(32);
   PacketCodec codec(&manager, HeaderLayout{32, 0, 0});
   ForwardingEngine engine(codec, ForwardingEngine::Options{});
   // Only r0 and r1 are local; r2 is "on another worker".
   for (topo::NodeId id : {0u, 1u}) {
-    Fib fib = Fib::Build(net, id, cp_engine.node(id).bgp_routes(),
+    Fib fib = Fib::Build(net, id, testing::BestRoutes(*store, id),
                          cp_engine.node(id).ospf_routes(), nullptr);
     engine.AddNode(id, BuildPredicates(net, id, fib, codec));
   }

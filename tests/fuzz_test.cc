@@ -157,7 +157,7 @@ TEST_P(FuzzEquivalenceTest, S2MatchesMonoOnRandomNetworks) {
 
   std::vector<std::map<util::IpPrefix, std::vector<cp::Route>>> ribs;
   for (const auto& node : mono.last_engine()->nodes()) {
-    ribs.push_back(node->bgp_routes());
+    ribs.push_back(testing::BestRoutes(*mono.last_rib_store(), node->id()));
   }
 
   util::Rng rng(GetParam() * 977);
@@ -183,15 +183,10 @@ TEST_P(FuzzEquivalenceTest, S2MatchesMonoOnRandomNetworks) {
     EXPECT_EQ(result.queries[0].multipath_violations.size(),
               base.queries[0].multipath_violations.size());
 
-    if (options.num_shards == 0) {
-      dist::Controller* controller = verifier.last_controller();
-      for (size_t w = 0; w < controller->num_workers(); ++w) {
-        dist::Worker& worker = controller->worker(w);
-        for (topo::NodeId id : worker.local_nodes()) {
-          ASSERT_EQ(worker.node(id).bgp_routes(), ribs[id])
-              << "seed " << GetParam() << " node " << id;
-        }
-      }
+    const cp::RibStore& store = *verifier.last_controller()->rib_store();
+    for (topo::NodeId id = 0; id < parsed.configs.size(); ++id) {
+      ASSERT_EQ(testing::BestRoutes(store, id), ribs[id])
+          << "seed " << GetParam() << " node " << id;
     }
   }
 }
@@ -715,6 +710,15 @@ std::vector<dist::CtrlFrame> SampleCtrlFrames() {
     frames.push_back(f);
   }
   {
+    dist::CtrlFrame f;  // a spill failure carrying op, path and errno
+    f.type = dist::CtrlType::kResponse;
+    f.command = dist::WorkerCommand::kInit;
+    f.status = dist::CtrlStatus::kSpillFailed;
+    f.payload = dist::EncodeSpillError(
+        util::SpillError("open", "/tmp/s2-ribstore-1-XXXXXX", 20));
+    frames.push_back(f);
+  }
+  {
     dist::CtrlFrame f;  // a checkpoint ack carrying encoded worker state
     f.type = dist::CtrlType::kCheckpointAck;
     f.command = dist::WorkerCommand::kCheckpoint;
@@ -811,12 +815,15 @@ TEST(WireFuzzTest, UnknownCtrlFrameTypeByteErrors) {
 }
 
 TEST(WireFuzzTest, OutOfRangeCtrlEnumBytesError) {
-  // Command frame: byte 1 is the WorkerCommand discriminator.
+  // Command frame: byte 1 is the WorkerCommand discriminator. Every byte
+  // outside [kInit, kResetPeak] — the retired protocol-1 command numbers
+  // 14 and 15 included — names no command.
   dist::CtrlFrame cmd;
   cmd.type = dist::CtrlType::kCommand;
   cmd.command = dist::WorkerCommand::kInit;
   std::vector<uint8_t> cmd_bytes = dist::EncodeCtrlFrame(cmd);
-  for (int v : {0, 16, 100, 255}) {
+  for (int v = 0; v < 256; ++v) {
+    if (v >= 1 && v <= 13) continue;  // the valid WorkerCommand range
     std::vector<uint8_t> corrupt = cmd_bytes;
     corrupt[1] = static_cast<uint8_t>(v);
     EXPECT_THROW(dist::DecodeCtrlFrame(corrupt), util::WireFormatError)
@@ -827,7 +834,7 @@ TEST(WireFuzzTest, OutOfRangeCtrlEnumBytesError) {
   rsp.type = dist::CtrlType::kResponse;
   rsp.command = dist::WorkerCommand::kInit;
   std::vector<uint8_t> rsp_bytes = dist::EncodeCtrlFrame(rsp);
-  for (int v : {4, 9, 255}) {
+  for (int v : {5, 9, 255}) {
     std::vector<uint8_t> corrupt = rsp_bytes;
     corrupt[2] = static_cast<uint8_t>(v);
     EXPECT_THROW(dist::DecodeCtrlFrame(corrupt), util::WireFormatError)
@@ -839,6 +846,25 @@ TEST(WireFuzzTest, OutOfRangeCtrlEnumBytesError) {
     EXPECT_THROW(dist::DecodeCtrlFrame(corrupt), util::WireFormatError)
         << "flag byte " << v;
   }
+}
+
+// A child's spill failure crosses the control channel as op, path and
+// errno, and the controller rethrows an identical util::SpillError.
+TEST(WireFuzzTest, SpillErrorPayloadRoundTrips) {
+  util::SpillError sent("write", "/var/tmp/s2-ribstore-7-abcdef", 27);
+  std::vector<uint8_t> bytes = dist::EncodeSpillError(sent);
+  util::SpillError got = dist::DecodeSpillError(bytes);
+  EXPECT_EQ(got.op(), "write");
+  EXPECT_EQ(got.path(), "/var/tmp/s2-ribstore-7-abcdef");
+  EXPECT_EQ(got.error(), 27);
+  EXPECT_STREQ(got.what(), sent.what());
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    std::vector<uint8_t> cut(bytes.begin(), bytes.begin() + len);
+    EXPECT_THROW(dist::DecodeSpillError(cut), util::WireFormatError)
+        << "prefix of " << len << " bytes";
+  }
+  bytes.push_back(0);
+  EXPECT_THROW(dist::DecodeSpillError(bytes), util::WireFormatError);
 }
 
 TEST(WireFuzzTest, SaturatedCtrlFrameFieldsErrorNotAllocate) {

@@ -5,8 +5,9 @@
 // query verdicts field for field, canonical per-node predicate bytes and
 // FIB byte accounting byte for byte, and the DiffReachability report
 // change for change. The suite also pins the engine's economics (reuse
-// actually happens on local failures) and its fallbacks (OSPF, unsharded
-// base, config edits degrade to a sound whole-network re-run).
+// actually happens on local failures, unsharded bases included) and its
+// fallbacks (OSPF and config edits degrade to a sound whole-network
+// re-run).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -344,26 +345,33 @@ TEST(IncrementalWhatIfTest, OspfBaseFallsBackToFullRerun) {
                          options, queries, base, "ospf-fallback");
 }
 
-// An unsharded base has no converged spills to overlay: fallback, but
-// still exact.
-TEST(IncrementalWhatIfTest, UnshardedBaseFallsBackToFullRerun) {
-  config::ParsedNetwork net = testing::Parse(testing::MakeChain(5));
+// An unsharded base spills its converged routes as one shard holding every
+// prefix, so a single-link what-if on it localizes like a sharded one —
+// and still matches a cold re-run byte for byte.
+TEST(IncrementalWhatIfTest, UnshardedBaseLocalizes) {
+  topo::FatTreeParams params;
+  params.k = 4;
+  config::ParsedNetwork net = testing::Parse(topo::MakeFatTree(params));
   std::vector<dp::Query> queries = StandardQueries(net);
 
   ControllerOptions options;
   options.num_workers = 2;
-  options.num_shards = 0;  // retained RIBs, no spill store
+  options.num_shards = 0;  // one shard holding every prefix
   core::S2Verifier verifier(options);
   core::VerifyResult base = verifier.Verify(net, queries);
   ASSERT_TRUE(base.ok()) << base.failure_detail;
 
-  core::Scenario scenario = core::FailNodeScenario(2);
+  core::Scenario scenario = core::RemoveLinkScenario(
+      net.graph.FindByName("edge-0-0"), net.graph.FindByName("agg-0-0"));
   std::optional<core::IncrementalResult> incremental =
       verifier.VerifyIncremental(scenario);
   ASSERT_TRUE(incremental.has_value());
-  EXPECT_TRUE(incremental->stats.full_fallback);
+  EXPECT_FALSE(incremental->stats.full_fallback)
+      << incremental->stats.fallback_reason;
+  EXPECT_LT(incremental->stats.nodes_rebuilt,
+            incremental->stats.nodes_total);
   ExpectMatchesColdRerun(*incremental, core::ApplyScenario(net, scenario),
-                         options, queries, base, "unsharded-fallback");
+                         options, queries, base, "unsharded-local");
 }
 
 // Arbitrary config edits carry no impact bound; the kConfigEdit scenario

@@ -7,6 +7,7 @@
 #include "config/vendor.h"
 #include "core/mono.h"
 #include "core/s2.h"
+#include "test_networks.h"
 #include "topo/dcn.h"
 
 namespace s2 {
@@ -169,7 +170,7 @@ TEST(IntegrationTest, RemovePrivateAsVisibleAtBorders) {
   // ASNs): any such route's AS path must contain no private ASN.
   auto border0 = fx.parsed.graph.FindByName("border0");
   auto border1 = fx.parsed.graph.FindByName("border1");
-  const auto& rib = mono.last_engine()->node(border0).bgp_routes();
+  auto rib = testing::BestRoutes(*mono.last_rib_store(), border0);
   size_t from_peer_border = 0;
   for (const auto& [prefix, routes] : rib) {
     for (const cp::Route& route : routes) {
@@ -193,11 +194,11 @@ TEST(IntegrationTest, ConditionalDefaultPropagatesEverywhere) {
   auto dflt = util::MustParsePrefix("0.0.0.0/0");
   auto backup = util::MustParsePrefix("198.51.100.0/24");
   for (const auto& node : mono.last_engine()->nodes()) {
-    EXPECT_TRUE(node->bgp_routes().count(dflt))
+    auto rib = testing::BestRoutes(*mono.last_rib_store(), node->id());
+    EXPECT_TRUE(rib.count(dflt))
         << node->config().hostname << " lacks the conditional default";
     // The absent-watch backup prefix must NOT have fired.
-    EXPECT_FALSE(node->bgp_routes().count(backup))
-        << node->config().hostname;
+    EXPECT_FALSE(rib.count(backup)) << node->config().hostname;
   }
 }
 

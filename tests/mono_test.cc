@@ -53,7 +53,10 @@ TEST(MonoVerifierTest, ShardedProducesSameVerdicts) {
   EXPECT_EQ(result.queries[0].reachable_pairs,
             base.queries[0].reachable_pairs);
   EXPECT_EQ(result.total_best_routes, base.total_best_routes);
-  EXPECT_LT(result.peak_memory_bytes, base.peak_memory_bytes);
+  // Both runs spill every converged shard, so on FatTree4 both peak in the
+  // same data-plane build; sharding's control-plane saving is pinned by
+  // MonoEngineTest.ShardingLowersPeakMemory.
+  EXPECT_LE(result.peak_memory_bytes, base.peak_memory_bytes);
 }
 
 TEST(MonoVerifierTest, MemoryBudgetBecomesOomVerdict) {

@@ -1,10 +1,12 @@
 // Switch-model (cp::Node) tests: origination, the pull-based round
 // protocol, aggregation activation/deactivation, conditional
-// advertisement, split horizon, and result retention.
+// advertisement, split horizon, and spilling converged results.
 #include <gtest/gtest.h>
 
 #include "cp/node.h"
+#include "cp/shard.h"
 #include "test_networks.h"
+#include "topo/dcn.h"
 
 namespace s2::cp {
 namespace {
@@ -55,16 +57,19 @@ TEST(NodeTest, ChainConvergesWithFullRibs) {
   auto nodes = MakeNodes(net);
   for (auto& node : nodes) node->BeginBgp(nullptr);
   Converge(nodes);
-  for (auto& node : nodes) node->RetainBgp();
+  RibStore store;
+  for (auto& node : nodes) node->SpillBgp(store, 0);
   // Every node holds all 8 prefixes (4 loopbacks + 4 /24s).
   for (auto& node : nodes) {
-    EXPECT_EQ(node->bgp_routes().size(), 8u) << "node " << node->id();
+    EXPECT_EQ(testing::BestRoutes(store, node->id()).size(), 8u)
+        << "node " << node->id();
   }
   // AS paths grow with distance: r0's route to 10.0.3.0/24 went through
   // r1, r2, r3.
   auto p3 = util::MustParsePrefix("10.0.3.0/24");
-  EXPECT_EQ(nodes[0]->bgp_routes().at(p3).front().as_path().size(), 3u);
-  EXPECT_EQ(nodes[0]->bgp_routes().at(p3).front().learned_from, 1u);
+  auto rib0 = testing::BestRoutes(store, 0);
+  EXPECT_EQ(rib0.at(p3).front().as_path().size(), 3u);
+  EXPECT_EQ(rib0.at(p3).front().learned_from, 1u);
 }
 
 TEST(NodeTest, DiamondProducesEcmp) {
@@ -72,9 +77,10 @@ TEST(NodeTest, DiamondProducesEcmp) {
   auto nodes = MakeNodes(net);
   for (auto& node : nodes) node->BeginBgp(nullptr);
   Converge(nodes);
-  for (auto& node : nodes) node->RetainBgp();
+  RibStore store;
+  for (auto& node : nodes) node->SpillBgp(store, 0);
   auto p3 = util::MustParsePrefix("10.0.3.0/24");
-  const auto& paths = nodes[0]->bgp_routes().at(p3);
+  const auto paths = testing::BestRoutes(store, 0).at(p3);
   ASSERT_EQ(paths.size(), 2u);  // via r1 and via r2
   EXPECT_EQ(paths[0].learned_from, 1u);
   EXPECT_EQ(paths[1].learned_from, 2u);
@@ -87,9 +93,12 @@ TEST(NodeTest, EcmpRespectsMaxPaths) {
   auto nodes = MakeNodes(parsed);
   for (auto& node : nodes) node->BeginBgp(nullptr);
   Converge(nodes);
-  for (auto& node : nodes) node->RetainBgp();
+  RibStore store;
+  for (auto& node : nodes) node->SpillBgp(store, 0);
   EXPECT_EQ(
-      nodes[0]->bgp_routes().at(util::MustParsePrefix("10.0.3.0/24")).size(),
+      testing::BestRoutes(store, 0)
+          .at(util::MustParsePrefix("10.0.3.0/24"))
+          .size(),
       1u);
 }
 
@@ -104,14 +113,14 @@ TEST(NodeTest, AsPathPrependSteersTrafficAway) {
   auto nodes = MakeNodes(parsed);
   for (auto& node : nodes) node->BeginBgp(nullptr);
   Converge(nodes);
-  for (auto& node : nodes) node->RetainBgp();
-  const auto& paths =
-      nodes[0]->bgp_routes().at(util::MustParsePrefix("10.0.3.0/24"));
+  RibStore store;
+  for (auto& node : nodes) node->SpillBgp(store, 0);
+  auto rib0 = testing::BestRoutes(store, 0);
+  const auto& paths = rib0.at(util::MustParsePrefix("10.0.3.0/24"));
   ASSERT_EQ(paths.size(), 1u);  // prepended path no longer ECMP-equal
   EXPECT_EQ(paths[0].learned_from, 2u);
   // The de-preferred path is still a candidate with the longer AS path.
-  const auto& direct =
-      nodes[0]->bgp_routes().at(util::MustParsePrefix("10.0.1.0/24"));
+  const auto& direct = rib0.at(util::MustParsePrefix("10.0.1.0/24"));
   EXPECT_EQ(direct.front().as_path().size(), 3u);  // 1 real + 2 prepended
 }
 
@@ -122,10 +131,12 @@ TEST(NodeTest, ShardRestrictsOrigination) {
                      util::MustParsePrefix("10.0.2.0/24")};
   for (auto& node : nodes) node->BeginBgp(&shard);
   Converge(nodes);
-  for (auto& node : nodes) node->RetainBgp();
+  RibStore store;
+  for (auto& node : nodes) node->SpillBgp(store, 0);
   for (auto& node : nodes) {
-    EXPECT_EQ(node->bgp_routes().size(), 2u);
-    for (const auto& [prefix, routes] : node->bgp_routes()) {
+    EXPECT_EQ(testing::BestRoutes(store, node->id()).size(), 2u);
+    for (const auto& [prefix, routes] :
+         testing::BestRoutes(store, node->id())) {
       EXPECT_TRUE(shard.count(prefix));
     }
   }
@@ -140,18 +151,20 @@ TEST(NodeTest, AggregateActivatesWithContributor) {
   auto nodes = MakeNodes(parsed);
   for (auto& node : nodes) node->BeginBgp(nullptr);
   Converge(nodes);
-  for (auto& node : nodes) node->RetainBgp();
+  RibStore store;
+  for (auto& node : nodes) node->SpillBgp(store, 0);
   auto agg = util::MustParsePrefix("10.0.2.0/23");
   auto specific = util::MustParsePrefix("10.0.2.0/24");
   // r0 sees the aggregate (tagged) but NOT the suppressed specific.
-  ASSERT_TRUE(nodes[0]->bgp_routes().count(agg));
-  EXPECT_TRUE(nodes[0]->bgp_routes().at(agg).front().HasCommunity(777));
-  EXPECT_FALSE(nodes[0]->bgp_routes().count(specific));
+  auto rib0 = testing::BestRoutes(store, 0);
+  ASSERT_TRUE(rib0.count(agg));
+  EXPECT_TRUE(rib0.at(agg).front().HasCommunity(777));
+  EXPECT_FALSE(rib0.count(specific));
   // r1 keeps the specific in its own RIB (needed for forwarding).
-  EXPECT_TRUE(nodes[1]->bgp_routes().count(specific));
+  EXPECT_TRUE(testing::BestRoutes(store, 1).count(specific));
   // r2, the contributor itself, does not hear its own specific suppressed
   // but does receive the aggregate.
-  EXPECT_TRUE(nodes[2]->bgp_routes().count(agg));
+  EXPECT_TRUE(testing::BestRoutes(store, 2).count(agg));
 }
 
 TEST(NodeTest, AggregateInactiveWithoutContributor) {
@@ -162,9 +175,11 @@ TEST(NodeTest, AggregateInactiveWithoutContributor) {
   auto nodes = MakeNodes(parsed);
   for (auto& node : nodes) node->BeginBgp(nullptr);
   Converge(nodes);
-  for (auto& node : nodes) node->RetainBgp();
+  RibStore store;
+  for (auto& node : nodes) node->SpillBgp(store, 0);
   EXPECT_FALSE(
-      nodes[0]->bgp_routes().count(util::MustParsePrefix("192.168.0.0/16")));
+      testing::BestRoutes(store, 0).count(
+          util::MustParsePrefix("192.168.0.0/16")));
 }
 
 TEST(NodeTest, ConditionalAdvertisementPresent) {
@@ -177,9 +192,11 @@ TEST(NodeTest, ConditionalAdvertisementPresent) {
   auto nodes = MakeNodes(parsed);
   for (auto& node : nodes) node->BeginBgp(nullptr);
   Converge(nodes);
-  for (auto& node : nodes) node->RetainBgp();
+  RibStore store;
+  for (auto& node : nodes) node->SpillBgp(store, 0);
   EXPECT_TRUE(
-      nodes[0]->bgp_routes().count(util::MustParsePrefix("0.0.0.0/0")));
+      testing::BestRoutes(store, 0).count(
+          util::MustParsePrefix("0.0.0.0/0")));
 }
 
 TEST(NodeTest, ConditionalAdvertisementAbsentWatch) {
@@ -193,8 +210,9 @@ TEST(NodeTest, ConditionalAdvertisementAbsentWatch) {
   auto nodes = MakeNodes(parsed);
   for (auto& node : nodes) node->BeginBgp(nullptr);
   Converge(nodes);
-  for (auto& node : nodes) node->RetainBgp();
-  EXPECT_TRUE(nodes[0]->bgp_routes().count(
+  RibStore store;
+  for (auto& node : nodes) node->SpillBgp(store, 0);
+  EXPECT_TRUE(testing::BestRoutes(store, 0).count(
       util::MustParsePrefix("198.51.100.0/24")));
 }
 
@@ -239,11 +257,47 @@ TEST(NodeTest, RedistributesOspfIntoBgp) {
   for (auto& node : nodes) node->FinishOspf();
   for (auto& node : nodes) node->BeginBgp(nullptr);
   Converge(nodes);
-  for (auto& node : nodes) node->RetainBgp();
+  RibStore store;
+  for (auto& node : nodes) node->SpillBgp(store, 0);
   auto lo0 = util::MustParsePrefix("172.16.0.0/32");
-  ASSERT_TRUE(nodes[2]->bgp_routes().count(lo0));
-  EXPECT_EQ(nodes[2]->bgp_routes().at(lo0).front().origin(),
+  ASSERT_TRUE(testing::BestRoutes(store, 2).count(lo0));
+  EXPECT_EQ(testing::BestRoutes(store, 2).at(lo0).front().origin(),
             2u);  // incomplete
+}
+
+// An unsharded run is the one-shard plan. Restricting origination to that
+// shard — CollectBgpPrefixes' universe — must lose nothing against a pass
+// with no shard at all, on the DCN (aggregates, conditional
+// advertisements) and on a chain redistributing OSPF into BGP.
+TEST(NodeTest, OneShardPlanMatchesUnrestrictedPass) {
+  topo::Network chain = testing::MakeChain(4);
+  for (auto& intent : chain.intents) intent.enable_ospf = true;
+  chain.intents[1].redistribute_ospf_into_bgp = true;
+  chain.intents[0].announced.clear();
+  for (const config::ParsedNetwork& net :
+       {testing::Parse(topo::MakeDcn(topo::DcnParams{})),
+        testing::Parse(chain)}) {
+    ShardPlan plan = BuildShardPlan(net, 1);
+    ASSERT_EQ(plan.num_shards(), 1u);
+    auto converge = [&](const PrefixSet* shard, RibStore& store) {
+      auto nodes = MakeNodes(net);
+      for (auto& node : nodes) node->BeginOspf();
+      Converge(nodes);
+      for (auto& node : nodes) node->FinishOspf();
+      for (auto& node : nodes) node->BeginBgp(shard);
+      Converge(nodes);
+      for (auto& node : nodes) node->SpillBgp(store, 0);
+    };
+    RibStore unrestricted, one_shard;
+    converge(nullptr, unrestricted);
+    converge(&plan.shard(0), one_shard);
+    EXPECT_EQ(unrestricted.routes_written(), one_shard.routes_written());
+    for (topo::NodeId id = 0; id < net.configs.size(); ++id) {
+      EXPECT_EQ(testing::BestRoutes(one_shard, id),
+                testing::BestRoutes(unrestricted, id))
+          << net.configs[id].hostname;
+    }
+  }
 }
 
 }  // namespace

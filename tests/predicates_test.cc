@@ -22,11 +22,11 @@ cp::Route Learned(const std::string& prefix, topo::NodeId from) {
 TEST(PredicatesTest, PartitionIsDisjointAndComplete) {
   auto net = testing::Parse(testing::MakeDiamond());
   cp::MonoEngine engine(net, nullptr);
-  engine.Run(nullptr, nullptr);
+  auto store = testing::RunOneShard(engine, net);
 
   bdd::Manager manager(32);
   PacketCodec codec(&manager, HeaderLayout{32, 0, 0});
-  Fib fib = Fib::Build(net, 0, engine.node(0).bgp_routes(),
+  Fib fib = Fib::Build(net, 0, testing::BestRoutes(*store, 0),
                        engine.node(0).ospf_routes(), nullptr);
   NodePredicates preds = BuildPredicates(net, 0, fib, codec);
 
@@ -146,10 +146,10 @@ TEST(PredicatesTest, InterfaceAclsBecomePortPredicates) {
       false, std::nullopt, util::MustParsePrefix("172.16.0.0/12")});
   auto parsed = testing::Parse(net);
   cp::MonoEngine engine(parsed, nullptr);
-  engine.Run(nullptr, nullptr);
+  auto store = testing::RunOneShard(engine, parsed);
   bdd::Manager manager(32);
   PacketCodec codec(&manager, HeaderLayout{32, 0, 0});
-  Fib fib = Fib::Build(parsed, 0, engine.node(0).bgp_routes(),
+  Fib fib = Fib::Build(parsed, 0, testing::BestRoutes(*store, 0),
                        engine.node(0).ospf_routes(), nullptr);
   NodePredicates preds = BuildPredicates(parsed, 0, fib, codec);
   ASSERT_TRUE(preds.acl_out.count(1));

@@ -595,14 +595,16 @@ std::set<std::string> SpillSegmentFds(const std::string& pid) {
 }
 
 // A process-mode sharded run with worker 1 SIGKILLed between phases (as in
-// SigkillBetweenPhasesConverges): the controller's spill segment is
-// O_CLOEXEC, so no spawned s2_worker — first generation or respawned —
-// holds it open, and once the run is torn down the private TMPDIR is
-// empty.
+// SigkillBetweenPhasesConverges). The controller opens no segment of its
+// own; each child — first generation or respawned — holds exactly one, its
+// own; none inherits the segment this process holds open across every
+// spawn (segments are O_CLOEXEC); and once the run is torn down the
+// private TMPDIR is empty.
 TEST(ProcessWorkers, SigkilledShardedRunLeavesNoSpillResidue) {
   PrivateTmpdir tmp;
   ASSERT_FALSE(tmp.path().empty());
   {
+    cp::RibStore held;
     config::ParsedNetwork net = DefaultDcn();
     dp::Query query = EdgeQuery(net);
     dist::Controller controller(net, BaseOptions(3, 4, WorkerMode::kProcess));
@@ -618,19 +620,57 @@ TEST(ProcessWorkers, SigkilledShardedRunLeavesNoSpillResidue) {
     EXPECT_GE(controller.worker_recoveries(), 1u);
 
     std::set<std::string> own = SpillSegmentFds("self");
-    ASSERT_FALSE(own.empty()) << "the sharded controller holds no segment";
+    EXPECT_EQ(own.size(), 1u)
+        << "the process-mode controller opened a segment of its own";
     std::vector<int> children = FindWorkerChildren();
     EXPECT_EQ(children.size(), 3u);
+    std::set<std::string> seen;
     for (int pid : children) {
-      for (const std::string& target : SpillSegmentFds(std::to_string(pid))) {
+      std::set<std::string> segments = SpillSegmentFds(std::to_string(pid));
+      EXPECT_EQ(segments.size(), 1u) << "s2_worker " << pid;
+      for (const std::string& target : segments) {
         EXPECT_EQ(own.count(target), 0u)
             << "s2_worker " << pid << " inherited " << target;
+        EXPECT_TRUE(seen.insert(target).second)
+            << "s2_worker " << pid << " shares " << target;
       }
     }
   }
   std::vector<std::string> entries = tmp.Entries();
   EXPECT_TRUE(entries.empty()) << entries.size() << " entries left, first "
                                << (entries.empty() ? "" : entries.front());
+}
+
+// Every process-mode child opens its own spill segment at init, an
+// unsharded run's included. With TMPDIR a regular file that open fails in
+// the children; the failure crosses the control channel as kSpillFailed
+// and Verify returns it as a verdict naming the path and errno, with no
+// child left alive and no spill entry left behind.
+TEST(ProcessWorkers, ChildSpillOpenFailureIsASpillFailedVerdict) {
+  PrivateTmpdir tmp;
+  ASSERT_FALSE(tmp.path().empty());
+  const std::string file = tmp.path() + "/regular-file";
+  std::ofstream(file) << "not a directory\n";
+  setenv("TMPDIR", file.c_str(), 1);
+  core::VerifyResult result;
+  {
+    config::ParsedNetwork net = DefaultDcn();
+    core::S2Verifier proc(BaseOptions(2, 0, WorkerMode::kProcess));
+    result = proc.Verify(net, {EdgeQuery(net)});
+    EXPECT_TRUE(FindWorkerChildren().empty());
+  }
+  setenv("TMPDIR", tmp.path().c_str(), 1);
+  EXPECT_EQ(result.status, core::RunStatus::kSpillFailed)
+      << result.failure_detail;
+  EXPECT_NE(result.failure_detail.find(file), std::string::npos)
+      << result.failure_detail;
+  EXPECT_NE(result.failure_detail.find("errno " + std::to_string(ENOTDIR)),
+            std::string::npos)
+      << result.failure_detail;
+  EXPECT_TRUE(FindWorkerChildren().empty());
+  for (const std::string& name : tmp.Entries()) {
+    EXPECT_NE(name.rfind("s2-ribstore-", 0), 0u) << name;
+  }
 }
 
 }  // namespace

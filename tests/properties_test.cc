@@ -20,14 +20,15 @@ struct Fixture {
   explicit Fixture(const topo::Network& network, uint32_t meta_bits = 0) {
     net = testing::Parse(network);
     cp::MonoEngine cp_engine(net, nullptr);
-    cp_engine.Run(nullptr, nullptr);
+    auto store = testing::RunOneShard(cp_engine, net);
     manager = std::make_unique<bdd::Manager>(32 + meta_bits);
     codec = std::make_unique<PacketCodec>(manager.get(),
                                           HeaderLayout{32, 0, meta_bits});
     engine = std::make_unique<ForwardingEngine>(
         *codec, ForwardingEngine::Options{});
     for (const auto& node : cp_engine.nodes()) {
-      Fib fib = Fib::Build(net, node->id(), node->bgp_routes(),
+      Fib fib = Fib::Build(net, node->id(),
+                           testing::BestRoutes(*store, node->id()),
                            node->ospf_routes(), nullptr);
       engine->AddNode(node->id(),
                       BuildPredicates(net, node->id(), fib, *codec));

@@ -181,13 +181,13 @@ TEST(RepairShardPlanTest, RepairedPlanComputesCorrectRibs) {
   EXPECT_TRUE(ValidateShardPlan(parsed, plan).empty());
 
   MonoEngine direct(parsed, nullptr);
-  direct.Run(nullptr, nullptr);
+  auto direct_store = testing::RunOneShard(direct, parsed);
   RibStore store;
   MonoEngine sharded(parsed, nullptr);
-  sharded.Run(&plan, &store);
+  sharded.Run(plan, store);
   for (topo::NodeId id = 0; id < parsed.configs.size(); ++id) {
     ASSERT_EQ(store.ReadAll(id, sharded.attr_pool()),
-              direct.node(id).bgp_routes());
+              testing::BestRoutes(*direct_store, id));
   }
 }
 
@@ -294,16 +294,16 @@ class ShardEquivalenceTest : public ::testing::TestWithParam<int> {};
 TEST_P(ShardEquivalenceTest, DcnShardedMatchesUnsharded) {
   auto parsed = testing::Parse(topo::MakeDcn(topo::DcnParams{}));
   MonoEngine direct(parsed, nullptr);
-  direct.Run(nullptr, nullptr);
+  auto direct_store = testing::RunOneShard(direct, parsed);
 
   ShardPlan plan = BuildShardPlan(parsed, GetParam());
   RibStore store;
   MonoEngine sharded(parsed, nullptr);
-  sharded.Run(&plan, &store);
+  sharded.Run(plan, store);
 
   for (topo::NodeId id = 0; id < parsed.configs.size(); ++id) {
     ASSERT_EQ(store.ReadAll(id, sharded.attr_pool()),
-              direct.node(id).bgp_routes())
+              testing::BestRoutes(*direct_store, id))
         << parsed.configs[id].hostname << " with " << GetParam()
         << " shards";
   }

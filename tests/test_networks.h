@@ -2,8 +2,13 @@
 // control-plane and data-plane tests.
 #pragma once
 
+#include <map>
+#include <memory>
+#include <vector>
+
 #include "config/parser.h"
 #include "config/vendor.h"
+#include "cp/engine.h"
 #include "topo/graph.h"
 
 namespace s2::testing {
@@ -63,6 +68,25 @@ inline topo::Network MakeDiamond() {
 
 inline config::ParsedNetwork Parse(const topo::Network& net) {
   return config::ParseNetwork(config::SynthesizeConfigs(net));
+}
+
+// Converged BGP best routes of `node`, read back from the spill store of
+// the run that converged it: every run spills there, an unsharded one as
+// a single shard. The one way tests read a converged RIB; tuples intern
+// into a shared test pool (routes compare attribute-deep across pools).
+inline std::map<util::IpPrefix, std::vector<cp::Route>> BestRoutes(
+    const cp::RibStore& store, topo::NodeId node) {
+  static cp::AttrPool* pool = new cp::AttrPool();
+  return store.ReadAll(node, *pool);
+}
+
+// Runs `engine` the way an unsharded run does, as one shard holding every
+// prefix, and returns the store its converged routes were spilled to.
+inline std::unique_ptr<cp::RibStore> RunOneShard(
+    cp::MonoEngine& engine, const config::ParsedNetwork& net) {
+  auto store = std::make_unique<cp::RibStore>();
+  engine.Run(cp::BuildShardPlan(net, 1), *store);
+  return store;
 }
 
 }  // namespace s2::testing

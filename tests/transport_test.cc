@@ -623,7 +623,7 @@ EndToEndOutcome RunEndToEnd(const config::ParsedNetwork& net,
   for (size_t w = 0; w < controller->num_workers(); ++w) {
     Worker& worker = controller->worker(w);
     for (topo::NodeId id : worker.local_nodes()) {
-      outcome.ribs[id] = worker.node(id).bgp_routes();
+      outcome.ribs[id] = testing::BestRoutes(*controller->rib_store(), id);
     }
     fault::WorkerCheckpoint checkpoint;
     worker.CheckpointDataPlane(checkpoint);
