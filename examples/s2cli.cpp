@@ -82,6 +82,10 @@ int Verify(int argc, char** argv) {
       workers = static_cast<uint32_t>(std::atoi(next()));
     } else if (std::strcmp(argv[i], "--shards") == 0) {
       shards = std::atoi(next());
+      if (shards < 0) {
+        std::fprintf(stderr, "--shards must be 0 (off) or positive\n");
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--budget") == 0) {
       budget = static_cast<size_t>(std::atof(next()) * (1 << 20));
     } else if (std::strcmp(argv[i], "--scheme") == 0) {

@@ -165,41 +165,43 @@ IncrementalResult VerifyIncremental(
   }
 
   phase_span.emplace("incremental", "incremental.setup");
-  dist::ControllerOptions options = base.options;
-  // The synthetic one-shard plan replaces option-driven sharding.
-  options.num_shards = 0;
-  // Deliberately NOT collapsed to one worker: final-packet fragmentation
-  // (and with it per-state finals counts) depends on worker placement, so
-  // re-verified results are comparable to the base run's only when the
-  // overlay keeps the base fleet shape.
-  dist::Controller controller(std::move(modified), options);
-  phase_span.reset();
-
+  // One synthetic shard holding exactly the closure. Deliberately not
+  // RepairShardPlan'd: validation would re-insert every other universe
+  // prefix, defeating the restriction — the DPDG closure already
+  // guarantees the shard is dependency-closed.
+  dist::Controller::PresetShards preset;
+  preset.plan.ResizeShards(1);
+  std::vector<util::IpPrefix> sorted_closure(closure.begin(), closure.end());
+  std::sort(sorted_closure.begin(), sorted_closure.end());
+  for (const util::IpPrefix& prefix : sorted_closure) {
+    preset.plan.Assign(0, prefix);
+  }
+  // The overlay records each node's FIB projection as it spills, so the
+  // rebuild diff below is a pure in-memory comparison.
   std::shared_ptr<cp::RibStore> store;
-  size_t base_masked_routes = 0;  // base routes shadowed by the overlay
   try {
-    util::Stopwatch watch;
-    controller.Setup();
-    result.partition_seconds = watch.ElapsedSeconds();
-
-    // One synthetic shard holding exactly the closure. Deliberately not
-    // RepairShardPlan'd: validation would re-insert every other universe
-    // prefix, defeating the restriction — the DPDG closure already
-    // guarantees the shard is dependency-closed.
-    cp::ShardPlan plan;
-    plan.ResizeShards(1);
-    std::vector<util::IpPrefix> sorted_closure(closure.begin(),
-                                                 closure.end());
-    std::sort(sorted_closure.begin(), sorted_closure.end());
-    for (const util::IpPrefix& prefix : sorted_closure) {
-      plan.Assign(0, prefix);
-    }
-    // The overlay records each node's FIB projection as it spills, so the
-    // rebuild diff below is a pure in-memory comparison.
     store = fallback ? std::make_shared<cp::RibStore>()
                      : std::make_shared<cp::RibStore>(base.rib_spills,
                                                       closure);
-    controller.OverrideShardPlan(std::move(plan), store);
+  } catch (const util::SpillError& spill) {
+    result.status = RunStatus::kSpillFailed;
+    result.failure_detail = spill.what();
+    return out;
+  }
+  preset.store = store;
+  // The base options as they are: the preset plan replaces option-driven
+  // sharding, and the fleet is deliberately NOT collapsed to one worker —
+  // final-packet fragmentation (and with it per-state finals counts)
+  // depends on worker placement, so re-verified results are comparable to
+  // the base run's only when the overlay keeps the base fleet shape.
+  dist::Controller controller(std::move(modified), base.options);
+  phase_span.reset();
+
+  size_t base_masked_routes = 0;  // base routes shadowed by the overlay
+  try {
+    util::Stopwatch watch;
+    controller.Setup(std::move(preset));
+    result.partition_seconds = watch.ElapsedSeconds();
     result.control_plane = controller.RunControlPlane();
 
     // ------------------------------------------------------ rebuild set
@@ -338,7 +340,7 @@ IncrementalResult VerifyIncremental(
   result.comm_bytes += controller.TotalCommBytes();
   // The overlay spills replace exactly the base routes of masked prefixes;
   // everything else flows through from the base run.
-  size_t overlay_routes = store != nullptr ? store->routes_written() : 0;
+  size_t overlay_routes = store->routes_written();
   result.total_best_routes =
       fallback ? overlay_routes
                : base.total_best_routes - base_masked_routes + overlay_routes;

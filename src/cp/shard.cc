@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
 
@@ -150,6 +152,10 @@ PrefixSet DpdgComponents::Closure(const PrefixSet& impacted) const {
 
 ShardPlan BuildShardPlan(const config::ParsedNetwork& network, int num_shards,
                          uint64_t seed) {
+  if (num_shards < 0) {
+    throw std::invalid_argument("BuildShardPlan: negative shard count " +
+                                std::to_string(num_shards));
+  }
   DpdgComponents dpdg = BuildDpdgComponents(network);
   const std::vector<util::IpPrefix>& prefixes = dpdg.prefixes;
 

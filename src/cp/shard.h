@@ -95,7 +95,7 @@ DpdgComponents BuildDpdgComponents(const config::ParsedNetwork& network);
 
 // Builds `num_shards` shards (fewer if there are fewer components, and
 // always at least one: 0 or 1 yields the one-shard plan an unsharded run
-// spills through).
+// spills through). A negative count throws std::invalid_argument.
 ShardPlan BuildShardPlan(const config::ParsedNetwork& network, int num_shards,
                          uint64_t seed = 1);
 

@@ -16,7 +16,13 @@ Controller::Controller(config::ParsedNetwork network,
 
 Controller::~Controller() = default;
 
-void Controller::Setup() {
+void Controller::Setup(std::optional<PresetShards> preset) {
+  const bool process = options_.worker_mode == WorkerMode::kProcess;
+  if (preset && process) {
+    throw std::logic_error(
+        "Setup: a preset shard plan needs in-process workers (worker "
+        "processes derive their shard plan from the init spec)");
+  }
   obs::Span span("controller", "controller.partition");
   // Resolve the header layout against the network's address families up
   // front: every manager/codec below (workers, gather, snapshots)
@@ -24,6 +30,18 @@ void Controller::Setup() {
   options_.layout = dp::LayoutForNetwork(network_, options_.layout);
   span.Arg("workers", options_.num_workers);
   span.Arg("shards", options_.num_shards);
+  // The plan comes first: a bad shard count is refused before any worker
+  // process is spawned.
+  if (preset) {
+    plan_ = std::move(preset->plan);
+  } else {
+    plan_ = cp::BuildShardPlan(network_, options_.num_shards, options_.seed);
+    // §7 fallback: a freshly built plan is already dependency-closed, but
+    // repair defensively so externally cached/edited plans can't split
+    // dependent prefixes.
+    cp::RepairShardPlan(network_, plan_);
+  }
+
   partition_ = topo::Partition(network_.graph, options_.num_workers,
                                options_.scheme, options_.seed);
   fabric_ = std::make_unique<SidecarFabric>(options_.num_workers,
@@ -33,7 +51,6 @@ void Controller::Setup() {
   if (options_.fault_plan) {
     injector_ = std::make_unique<fault::FaultInjector>(*options_.fault_plan);
   }
-  const bool process = options_.worker_mode == WorkerMode::kProcess;
   if (injector_ != nullptr || options_.reliable_delivery || process) {
     static const fault::FaultPlan kDefaultTuning;
     // Process mode always keeps the replay log: recovery from a real
@@ -127,14 +144,14 @@ void Controller::Setup() {
   dpo_ = std::make_unique<Dpo>(&handles_, fabric_.get(), pool_.get(),
                                options_.cost, worker_options_);
 
-  plan_ = cp::BuildShardPlan(network_, options_.num_shards, options_.seed);
-  // §7 fallback: a freshly built plan is already dependency-closed, but
-  // repair defensively so externally cached/edited plans can't split
-  // dependent prefixes.
-  cp::RepairShardPlan(network_, plan_);
-  // Process-mode children spill into segments of their own; the
-  // controller keeps only the blobs they ship back for recovery.
-  if (!process) store_ = std::make_shared<cp::RibStore>();
+  // The store last: a spill-open failure leaves a controller whose metric
+  // reads still work. Process-mode children spill into segments of their
+  // own; the controller keeps only the blobs they ship back for recovery.
+  if (preset) {
+    store_ = std::move(preset->store);
+  } else if (!process) {
+    store_ = std::make_shared<cp::RibStore>();
+  }
 
   gather_manager_ =
       std::make_unique<bdd::Manager>(options_.layout.total_bits());
@@ -154,17 +171,6 @@ RoundMetrics Controller::RunControlPlane() {
     CheckpointWorkers(-1);
   }
   return metrics;
-}
-
-void Controller::OverrideShardPlan(cp::ShardPlan plan,
-                                   std::shared_ptr<cp::RibStore> store) {
-  if (options_.worker_mode == WorkerMode::kProcess) {
-    throw std::logic_error(
-        "OverrideShardPlan: incremental what-if needs in-process workers "
-        "(worker processes derive their shard plan from the init spec)");
-  }
-  plan_ = std::move(plan);
-  store_ = std::move(store);
 }
 
 RoundMetrics Controller::BuildDataPlanes(

@@ -71,23 +71,25 @@ class Controller {
   Controller(config::ParsedNetwork network, ControllerOptions options);
   ~Controller();
 
+  // A shard plan and spill store built outside the controller — the
+  // incremental what-if's synthetic closure shard and its overlay over a
+  // converged base run's spills (core/incremental.h). In-process workers
+  // only.
+  struct PresetShards {
+    cp::ShardPlan plan;
+    std::shared_ptr<cp::RibStore> store;
+  };
+
   // Partition the network, set up workers (real + shadow nodes) on a pool
-  // of min(num_workers, hardware concurrency) threads, and build the shard
-  // plan. In-process workers spill into a store the controller opens here;
-  // process-mode children each open their own.
-  void Setup();
+  // of min(num_workers, hardware concurrency) threads, and take the shard
+  // plan and spill store: `preset`'s when given, else a plan built from
+  // options.num_shards with a store the controller opens here (process-
+  // mode children each open their own). The control plane then runs one
+  // round set per shard of the plan.
+  void Setup(std::optional<PresetShards> preset = std::nullopt);
 
   // Distributed control-plane simulation, one round set per shard.
   RoundMetrics RunControlPlane();
-
-  // Incremental what-if support (core/incremental.h): replaces the shard
-  // plan and spill store Setup derived from the options with externally
-  // built ones (in-process workers only). Call after Setup and before
-  // RunControlPlane; the control plane then runs one round set per shard
-  // of `plan`, spilling into `store` (which may be an overlay over a
-  // converged base run's spills).
-  void OverrideShardPlan(cp::ShardPlan plan,
-                         std::shared_ptr<cp::RibStore> store);
 
   // Distributed FIB + predicate computation. With `reuse` (incremental
   // what-if; in-process workers only), nodes in reuse->rebuild recompute

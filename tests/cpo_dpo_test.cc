@@ -3,6 +3,8 @@
 // gather path — the pieces the end-to-end suites exercise only indirectly.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dist/controller.h"
 #include "test_networks.h"
 #include "topo/fattree.h"
@@ -74,6 +76,14 @@ TEST(CpoTest, UnshardedRunIsOneSpilledShard) {
   EXPECT_GT(controller.TotalBestRoutes(), 0u);
   EXPECT_EQ(controller.TotalBestRoutes(),
             controller.rib_store()->routes_written());
+}
+
+TEST(CpoTest, NegativeShardCountIsRejected) {
+  ControllerOptions options;
+  options.num_workers = 2;
+  options.num_shards = -1;
+  Controller controller(FatTree4(), options);
+  EXPECT_THROW(controller.Setup(), std::invalid_argument);
 }
 
 TEST(CpoTest, RoundLatencyEntersModeledTime) {

@@ -3,8 +3,11 @@
 // metric population.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/mono.h"
 #include "test_networks.h"
+#include "topo/dcn.h"
 #include "topo/fattree.h"
 
 namespace s2::core {
@@ -45,18 +48,44 @@ TEST(MonoVerifierTest, ShardedProducesSameVerdicts) {
   auto net = testing::Parse(topo::MakeFatTree(params));
   MonoVerifier plain{MonoOptions{}};
   VerifyResult base = plain.Verify(net, {EdgeQuery(net)});
+  EXPECT_EQ(plain.last_engine()->stats().shards_executed, 1);
   MonoOptions sharded_options;
   sharded_options.num_shards = 6;
   MonoVerifier sharded(sharded_options);
   VerifyResult result = sharded.Verify(net, {EdgeQuery(net)});
   ASSERT_TRUE(result.ok());
+  EXPECT_GT(sharded.last_engine()->stats().shards_executed, 1);
   EXPECT_EQ(result.queries[0].reachable_pairs,
             base.queries[0].reachable_pairs);
   EXPECT_EQ(result.total_best_routes, base.total_best_routes);
-  // Both runs spill every converged shard, so on FatTree4 both peak in the
-  // same data-plane build; sharding's control-plane saving is pinned by
-  // MonoEngineTest.ShardingLowersPeakMemory.
+  // Both runs spill every converged shard, and on FatTree4 both peak in
+  // the same data-plane build; the strict peak check is the DCN test below.
   EXPECT_LE(result.peak_memory_bytes, base.peak_memory_bytes);
+}
+
+// On the default DCN the unsharded peak is set by the control plane (every
+// prefix's RIBs at once, Fig 4's Batfish OOM), so sharding lowers it.
+TEST(MonoVerifierTest, ShardingLowersControlPlaneBoundPeak) {
+  auto net = testing::Parse(topo::MakeDcn(topo::DcnParams{}));
+  MonoVerifier plain{MonoOptions{}};
+  VerifyResult base = plain.Verify(net, {});
+  ASSERT_TRUE(base.ok()) << base.failure_detail;
+  MonoOptions sharded_options;
+  sharded_options.num_shards = 4;
+  MonoVerifier sharded(sharded_options);
+  VerifyResult result = sharded.Verify(net, {});
+  ASSERT_TRUE(result.ok()) << result.failure_detail;
+  EXPECT_GT(sharded.last_engine()->stats().shards_executed, 1);
+  EXPECT_EQ(result.total_best_routes, base.total_best_routes);
+  EXPECT_LT(result.peak_memory_bytes, base.peak_memory_bytes);
+}
+
+TEST(MonoVerifierTest, NegativeShardCountIsRejected) {
+  auto net = testing::Parse(testing::MakeChain(3));
+  MonoOptions options;
+  options.num_shards = -2;
+  MonoVerifier verifier(options);
+  EXPECT_THROW(verifier.Verify(net, {}), std::invalid_argument);
 }
 
 TEST(MonoVerifierTest, MemoryBudgetBecomesOomVerdict) {

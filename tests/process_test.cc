@@ -468,6 +468,14 @@ TEST(ProcessWorkers, MissingSourceTextsIsRejected) {
   EXPECT_THROW(controller.Setup(), std::runtime_error);
 }
 
+// A negative shard count is refused before any worker process is spawned.
+TEST(ProcessWorkers, NegativeShardCountIsRejectedBeforeSpawn) {
+  dist::Controller controller(DefaultDcn(),
+                              BaseOptions(2, -1, WorkerMode::kProcess));
+  EXPECT_THROW(controller.Setup(), std::invalid_argument);
+  EXPECT_TRUE(FindWorkerChildren().empty());
+}
+
 // A private TMPDIR for the scope (children inherit it), so a test counts
 // only its own spill residue. Restores the previous TMPDIR on exit.
 class PrivateTmpdir {

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
+#include <stdexcept>
 
 #include "core/mono.h"
 #include "core/s2.h"
@@ -117,6 +118,15 @@ TEST(BuildShardPlanTest, FewerComponentsThanShards) {
   EXPECT_LE(plan.num_shards(), 50u);
   EXPECT_GE(plan.num_shards(), 1u);
   for (const PrefixSet& shard : plan.shards()) EXPECT_FALSE(shard.empty());
+}
+
+// 0 and 1 both mean one shard; a negative count is a caller error, not
+// "one shard per component".
+TEST(BuildShardPlanTest, NegativeShardCountIsRejected) {
+  auto parsed = testing::Parse(testing::MakeChain(3));
+  EXPECT_EQ(BuildShardPlan(parsed, 0).num_shards(), 1u);
+  EXPECT_EQ(BuildShardPlan(parsed, 1).num_shards(), 1u);
+  EXPECT_THROW(BuildShardPlan(parsed, -1), std::invalid_argument);
 }
 
 TEST(MergeShardsTest, MergesAndReindexes) {
