@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -87,7 +88,7 @@ class Bdd {
 
  private:
   friend class Manager;
-  friend Bdd DeserializeInto(Manager&, const std::vector<uint8_t>&);
+  friend Bdd DeserializeInto(Manager&, std::span<const uint8_t>);
   Bdd(Manager* manager, uint32_t node);  // takes one reference
 
   Manager* manager_ = nullptr;
@@ -210,7 +211,7 @@ class Manager {
  private:
   friend class Bdd;
   friend struct SerializedView;  // bdd_io needs raw node access
-  friend Bdd DeserializeInto(Manager&, const std::vector<uint8_t>&);
+  friend Bdd DeserializeInto(Manager&, std::span<const uint8_t>);
   friend std::vector<uint8_t> Serialize(const Bdd&);
 
   struct Node {

@@ -1,34 +1,16 @@
 #include "bdd/bdd_io.h"
 
-#include <cstring>
 #include <string>
 #include <unordered_map>
 
 #include "util/status.h"
+#include "util/wire.h"
 
 namespace s2::bdd {
 
 namespace {
 
 constexpr uint32_t kMagic = 0x53324244;  // 'S2BD'
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v >> 16));
-  out.push_back(static_cast<uint8_t>(v >> 24));
-}
-
-uint32_t GetU32(const std::vector<uint8_t>& in, size_t& pos) {
-  if (pos + 4 > in.size()) {
-    throw util::WireFormatError("truncated BDD blob at offset " +
-                                std::to_string(pos));
-  }
-  uint32_t v = uint32_t{in[pos]} | (uint32_t{in[pos + 1]} << 8) |
-               (uint32_t{in[pos + 2]} << 16) | (uint32_t{in[pos + 3]} << 24);
-  pos += 4;
-  return v;
-}
 
 }  // namespace
 
@@ -62,48 +44,42 @@ std::vector<uint8_t> Serialize(const Bdd& f) {
 
   std::vector<uint8_t> out;
   out.reserve(16 + order.size() * 12);
-  PutU32(out, kMagic);
-  PutU32(out, m->num_vars());
-  PutU32(out, static_cast<uint32_t>(order.size()));
-  PutU32(out, index.at(f.id()));
+  util::WireWriter w(out);
+  w.U32(kMagic);
+  w.U32(m->num_vars());
+  w.U32(static_cast<uint32_t>(order.size()));
+  w.U32(index.at(f.id()));
   for (uint32_t node : order) {
     const auto& rec = m->nodes_[node];
-    PutU32(out, rec.var);
-    PutU32(out, index.at(rec.low));
-    PutU32(out, index.at(rec.high));
+    w.U32(rec.var);
+    w.U32(index.at(rec.low));
+    w.U32(index.at(rec.high));
   }
   return out;
 }
 
-Bdd DeserializeInto(Manager& manager, const std::vector<uint8_t>& bytes) {
-  size_t pos = 0;
-  if (GetU32(bytes, pos) != kMagic) {
+Bdd DeserializeInto(Manager& manager, std::span<const uint8_t> bytes) {
+  util::WireReader in(bytes);
+  if (in.U32() != kMagic) {
     throw util::WireFormatError("bad BDD blob magic");
   }
-  uint32_t wire_vars = GetU32(bytes, pos);
+  uint32_t wire_vars = in.U32();
   if (wire_vars > manager.num_vars()) {
     throw util::WireFormatError("BDD blob var count " +
                                 std::to_string(wire_vars) +
                                 " exceeds manager's " +
                                 std::to_string(manager.num_vars()));
   }
-  uint32_t count = GetU32(bytes, pos);
-  uint32_t root = GetU32(bytes, pos);
-  // Each node record is 12 bytes; validate against the bytes actually
-  // present before allocating — an absurd count must error, not OOM.
-  if (count > (bytes.size() - pos) / 12) {
-    throw util::WireFormatError("BDD blob node count " +
-                                std::to_string(count) +
-                                " exceeds remaining bytes");
-  }
+  const size_t count = in.Count(12);  // node records are 12 bytes each
+  const uint32_t root = in.U32();
 
   std::vector<uint32_t> local(count + 2);
   local[0] = Manager::kZero;
   local[1] = Manager::kOne;
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t var = GetU32(bytes, pos);
-    uint32_t low = GetU32(bytes, pos);
-    uint32_t high = GetU32(bytes, pos);
+    uint32_t var = in.U32();
+    uint32_t low = in.U32();
+    uint32_t high = in.U32();
     if (var >= manager.num_vars() || low >= i + 2 || high >= i + 2) {
       throw util::WireFormatError("malformed BDD node record " +
                                   std::to_string(i));

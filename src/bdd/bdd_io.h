@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -24,8 +25,8 @@ namespace s2::bdd {
 std::vector<uint8_t> Serialize(const Bdd& f);
 
 // Rebuilds a serialized function inside `manager`. The manager must have at
-// least as many variables as the serialized function uses; aborts on a
-// malformed buffer (wire buffers are produced by Serialize, not attackers).
-Bdd DeserializeInto(Manager& manager, const std::vector<uint8_t>& bytes);
+// least as many variables as the serialized function uses. Throws
+// util::WireFormatError on a malformed buffer.
+Bdd DeserializeInto(Manager& manager, std::span<const uint8_t> bytes);
 
 }  // namespace s2::bdd

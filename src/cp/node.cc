@@ -241,20 +241,18 @@ void Node::SerializeState(std::vector<uint8_t>& out) const {
   out.insert(out.end(), body.begin(), body.end());
 }
 
-void Node::RestoreState(const std::vector<uint8_t>& bytes,
+void Node::RestoreState(std::span<const uint8_t> bytes,
                         const PrefixSet* shard) {
-  size_t pos = 0;
-  AttrTable table = AttrTable::Read(bytes, pos, *pool_);
-  if (pos >= bytes.size()) {
-    throw util::WireFormatError("truncated node checkpoint");
-  }
-  pass_ = static_cast<Pass>(bytes[pos++]);
+  util::WireReader in(bytes);
+  AttrTable table = AttrTable::Read(in, *pool_);
+  pass_ = in.Enum(Pass::kBgp);
   shard_ = pass_ == Pass::kBgp ? shard : nullptr;
-  rib_.RestoreState(bytes, pos, table);
-  for (RouteUpdate& update : GetRoutesSection(bytes, pos, table)) {
+  rib_.RestoreState(in, table);
+  for (RouteUpdate& update : GetRoutesSection(in, table)) {
     ChargeResult(update.route);
     ospf_results_[update.prefix].push_back(std::move(update.route));
   }
+  in.ExpectEnd("node checkpoint");
 }
 
 size_t Node::SpillBgp(RibStore& store, int shard) {

@@ -18,6 +18,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -54,7 +55,7 @@ class Node {
   const std::vector<Session>& sessions() const { return sessions_; }
 
   // ------------------------------------------------------------ lifecycle
-  enum class Pass { kIdle, kOspf, kBgp };
+  enum class Pass : uint8_t { kIdle, kOspf, kBgp };
 
   // Starts an OSPF pass (no-op producing no work if OSPF is disabled).
   void BeginOspf();
@@ -103,7 +104,9 @@ class Node {
   // Restores SerializeState bytes into a freshly constructed node. `shard`
   // must be the prefix shard that was active when the checkpoint was taken
   // (null for OSPF / idle).
-  void RestoreState(const std::vector<uint8_t>& bytes, const PrefixSet* shard);
+  // Throws util::WireFormatError on malformed bytes, an unknown pass byte
+  // or trailing bytes.
+  void RestoreState(std::span<const uint8_t> bytes, const PrefixSet* shard);
 
  private:
   void OriginateStatic();      // network statements + redistribution

@@ -140,9 +140,10 @@ void Rib::SerializeState(std::vector<uint8_t>& out,
       by_neighbor[from].push_back(RouteUpdate{prefix, false, route});
     }
   }
-  PutWireU32(out, static_cast<uint32_t>(by_neighbor.size()));
+  util::WireWriter w(out);
+  w.U32(static_cast<uint32_t>(by_neighbor.size()));
   for (const auto& [from, updates] : by_neighbor) {
-    PutWireU32(out, from);
+    w.U32(from);
     PutRoutesSection(out, updates, table);
   }
   // Best/ECMP sets, flattened in (prefix, rank) order.
@@ -165,22 +166,21 @@ void Rib::SerializeState(std::vector<uint8_t>& out,
   PutRoutesSection(out, marks, table);
 }
 
-void Rib::RestoreState(const std::vector<uint8_t>& bytes, size_t& pos,
-                       const AttrTable& table) {
-  uint32_t groups = GetWireU32(bytes, pos);
+void Rib::RestoreState(util::WireReader& in, const AttrTable& table) {
+  uint32_t groups = in.U32();
   for (uint32_t g = 0; g < groups; ++g) {
-    topo::NodeId from = GetWireU32(bytes, pos);
-    for (RouteUpdate& update : GetRoutesSection(bytes, pos, table)) {
+    topo::NodeId from = in.U32();
+    for (RouteUpdate& update : GetRoutesSection(in, table)) {
       ChargeRoute(update.route);
       candidates_[update.prefix].emplace(from, std::move(update.route));
       ++candidate_count_;
     }
   }
-  for (RouteUpdate& update : GetRoutesSection(bytes, pos, table)) {
+  for (RouteUpdate& update : GetRoutesSection(in, table)) {
     ChargeRoute(update.route);
     best_[update.prefix].push_back(std::move(update.route));
   }
-  for (const RouteUpdate& update : GetRoutesSection(bytes, pos, table)) {
+  for (const RouteUpdate& update : GetRoutesSection(in, table)) {
     dirty_.insert(update.prefix);
   }
 }

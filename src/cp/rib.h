@@ -87,8 +87,7 @@ class Rib {
   void SerializeState(std::vector<uint8_t>& out,
                       AttrTableBuilder& table) const;
   // Restores into an empty RIB, charging the tracker for every route.
-  void RestoreState(const std::vector<uint8_t>& bytes, size_t& pos,
-                    const AttrTable& table);
+  void RestoreState(util::WireReader& in, const AttrTable& table);
 
   // Drops all state (end of a shard round: results were spilled), releasing
   // the accounted memory.

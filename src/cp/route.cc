@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/status.h"
+#include "util/wire.h"
 
 namespace s2::cp {
 
@@ -57,80 +58,7 @@ bool EcmpEquivalent(const Route& a, const Route& b) {
          ta.med == tb.med;
 }
 
-void PutWireU32(std::vector<uint8_t>& out, uint32_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v >> 16));
-  out.push_back(static_cast<uint8_t>(v >> 24));
-}
-
-uint32_t GetWireU32(const std::vector<uint8_t>& in, size_t& pos) {
-  if (pos + 4 > in.size()) {
-    throw util::WireFormatError("truncated u32 at offset " +
-                                std::to_string(pos));
-  }
-  uint32_t v = uint32_t{in[pos]} | (uint32_t{in[pos + 1]} << 8) |
-               (uint32_t{in[pos + 2]} << 16) | (uint32_t{in[pos + 3]} << 24);
-  pos += 4;
-  return v;
-}
-
-void PutWireU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint64_t GetWireU64(const std::vector<uint8_t>& in, size_t& pos) {
-  if (pos + 8 > in.size()) {
-    throw util::WireFormatError("truncated u64 at offset " +
-                                std::to_string(pos));
-  }
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= uint64_t{in[pos + i]} << (8 * i);
-  }
-  pos += 8;
-  return v;
-}
-
 namespace {
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) { PutWireU32(out, v); }
-
-uint32_t GetU32(const std::vector<uint8_t>& in, size_t& pos) {
-  return GetWireU32(in, pos);
-}
-
-uint8_t GetU8(const std::vector<uint8_t>& in, size_t& pos) {
-  if (pos >= in.size()) {
-    throw util::WireFormatError("truncated u8 at offset " +
-                                std::to_string(pos));
-  }
-  return in[pos++];
-}
-
-void PutU32List(std::vector<uint8_t>& out, const std::vector<uint32_t>& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  for (uint32_t x : v) PutU32(out, x);
-}
-
-std::vector<uint32_t> GetU32List(const std::vector<uint8_t>& in,
-                                 size_t& pos) {
-  uint32_t n = GetU32(in, pos);
-  // Validate the length against the bytes actually present before
-  // reserving: an absurd length field must error, not allocate.
-  if (n > (in.size() - pos) / 4) {
-    throw util::WireFormatError("u32 list of " + std::to_string(n) +
-                                " exceeds " +
-                                std::to_string(in.size() - pos) +
-                                " remaining bytes");
-  }
-  std::vector<uint32_t> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) v.push_back(GetU32(in, pos));
-  return v;
-}
 
 // Inline encoding cost of one tuple's attributes in the pre-table format:
 // local_pref + med (4 each), origin (1), two length-prefixed u32 lists.
@@ -138,12 +66,12 @@ size_t InlineAttrBytes(const AttrTuple& tuple) {
   return 17 + 4 * tuple.as_path.size() + 4 * tuple.communities.size();
 }
 
-void PutTuple(std::vector<uint8_t>& out, const AttrTuple& tuple) {
-  PutU32(out, tuple.local_pref);
-  PutU32(out, tuple.med);
-  out.push_back(tuple.origin);
-  PutU32List(out, tuple.as_path);
-  PutU32List(out, tuple.communities);
+void WriteTuple(util::WireWriter& out, const AttrTuple& tuple) {
+  out.U32(tuple.local_pref);
+  out.U32(tuple.med);
+  out.U8(tuple.origin);
+  out.U32List(tuple.as_path);
+  out.U32List(tuple.communities);
 }
 
 // The smallest possible wire footprints, used to validate counts before
@@ -154,105 +82,95 @@ constexpr size_t kMinTupleBytes = 17;
 constexpr size_t kMinRouteBytesV4 = 6;
 constexpr size_t kMinRouteBytesGeneric = 7;
 
-void PutPrefixGeneric(std::vector<uint8_t>& out,
-                      const util::IpPrefix& prefix) {
-  out.push_back(static_cast<uint8_t>(prefix.family()));
-  if (prefix.IsV4()) {
-    PutU32(out, prefix.address().V4Bits());
-  } else {
-    PutWireU64(out, prefix.address().Lo());
-    PutWireU64(out, prefix.address().Hi());
-  }
-  out.push_back(prefix.length());
+[[noreturn]] void ThrowUnknownFamily(uint8_t af, size_t pos) {
+  throw util::WireFormatError("unknown address family " +
+                              std::to_string(af) + " at offset " +
+                              std::to_string(pos));
 }
 
-util::IpPrefix GetPrefixGeneric(const std::vector<uint8_t>& bytes,
-                                size_t& pos) {
-  uint8_t af = GetU8(bytes, pos);
+void WritePrefixGeneric(util::WireWriter& out, const util::IpPrefix& prefix) {
+  out.U8(static_cast<uint8_t>(prefix.family()));
+  if (prefix.IsV4()) {
+    out.U32(prefix.address().V4Bits());
+  } else {
+    out.U64(prefix.address().Lo());
+    out.U64(prefix.address().Hi());
+  }
+  out.U8(prefix.length());
+}
+
+util::IpPrefix ReadPrefixGeneric(util::WireReader& in) {
+  const uint8_t af = in.U8();
   if (af == kAfV4) {
-    uint32_t addr = GetU32(bytes, pos);
-    uint8_t length = GetU8(bytes, pos);
+    uint32_t addr = in.U32();
+    uint8_t length = in.U8();
     return util::IpPrefix(util::IpAddress(addr), length);
   }
   if (af == kAfV6) {
-    uint64_t lo = GetWireU64(bytes, pos);
-    uint64_t hi = GetWireU64(bytes, pos);
-    uint8_t length = GetU8(bytes, pos);
+    uint64_t lo = in.U64();
+    uint64_t hi = in.U64();
+    uint8_t length = in.U8();
     return util::IpPrefix(util::IpAddress::V6(hi, lo), length);
   }
-  throw util::WireFormatError("unknown address family " +
-                              std::to_string(af) + " at offset " +
-                              std::to_string(pos - 1));
+  ThrowUnknownFamily(af, in.pos() - 1);
 }
 
 // Routes-only body: the address-family byte, then count + entries
 // referencing `table` by index. The batch uses the compact v4 encoding
 // exactly when every prefix in it is v4 — byte-identical to the pre-v6
 // format modulo the leading AF byte.
-void PutRoutesBody(std::vector<uint8_t>& out,
-                   const std::vector<RouteUpdate>& updates,
-                   AttrTableBuilder& table) {
+void WriteRoutesBody(util::WireWriter& out,
+                     const std::vector<RouteUpdate>& updates,
+                     AttrTableBuilder& table) {
   bool all_v4 = true;
   for (const RouteUpdate& update : updates) {
     all_v4 = all_v4 && update.prefix.IsV4();
   }
-  out.push_back(all_v4 ? kAfV4 : kAfV6);
-  PutU32(out, static_cast<uint32_t>(updates.size()));
+  out.U8(all_v4 ? kAfV4 : kAfV6);
+  out.U32(static_cast<uint32_t>(updates.size()));
   for (const RouteUpdate& update : updates) {
     if (all_v4) {
-      PutU32(out, update.prefix.address().V4Bits());
-      out.push_back(update.prefix.length());
+      out.U32(update.prefix.address().V4Bits());
+      out.U8(update.prefix.length());
     } else {
-      PutPrefixGeneric(out, update.prefix);
+      WritePrefixGeneric(out, update.prefix);
     }
-    out.push_back(update.withdraw ? 1 : 0);
+    out.Bool(update.withdraw);
     if (update.withdraw) continue;
     const Route& r = update.route;
-    out.push_back(static_cast<uint8_t>(r.protocol));
-    PutU32(out, r.metric);
-    PutU32(out, r.origin_node);
-    PutU32(out, r.learned_from);
-    PutU32(out, table.IndexOf(r));
+    out.U8(static_cast<uint8_t>(r.protocol));
+    out.U32(r.metric);
+    out.U32(r.origin_node);
+    out.U32(r.learned_from);
+    out.U32(table.IndexOf(r));
   }
 }
 
-std::vector<RouteUpdate> GetRoutesBody(const std::vector<uint8_t>& bytes,
-                                       size_t& pos, const AttrTable& table) {
-  uint8_t af = GetU8(bytes, pos);
-  if (af != kAfV4 && af != kAfV6) {
-    throw util::WireFormatError("unknown address family " +
-                                std::to_string(af) + " at offset " +
-                                std::to_string(pos - 1));
-  }
+std::vector<RouteUpdate> ReadRoutesBody(util::WireReader& in,
+                                        const AttrTable& table) {
+  const uint8_t af = in.U8();
+  if (af != kAfV4 && af != kAfV6) ThrowUnknownFamily(af, in.pos() - 1);
   const bool compact_v4 = af == kAfV4;
-  uint32_t count = GetU32(bytes, pos);
-  size_t min_entry = compact_v4 ? kMinRouteBytesV4 : kMinRouteBytesGeneric;
-  if (count > (bytes.size() - pos) / min_entry) {
-    throw util::WireFormatError("route count " + std::to_string(count) +
-                                " exceeds remaining bytes");
-  }
-  std::vector<RouteUpdate> updates;
-  updates.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    RouteUpdate update;
+  std::vector<RouteUpdate> updates(
+      in.Count(compact_v4 ? kMinRouteBytesV4 : kMinRouteBytesGeneric));
+  for (RouteUpdate& update : updates) {
     if (compact_v4) {
-      uint32_t addr = GetU32(bytes, pos);
-      uint8_t length = GetU8(bytes, pos);
+      uint32_t addr = in.U32();
+      uint8_t length = in.U8();
       update.prefix = util::IpPrefix(util::IpAddress(addr), length);
     } else {
-      update.prefix = GetPrefixGeneric(bytes, pos);
+      update.prefix = ReadPrefixGeneric(in);
     }
-    update.withdraw = GetU8(bytes, pos) != 0;
+    update.withdraw = in.U8() != 0;
     if (!update.withdraw) {
       Route& r = update.route;
       r.prefix = update.prefix;
-      r.protocol = static_cast<Protocol>(GetU8(bytes, pos));
-      r.metric = GetU32(bytes, pos);
-      r.origin_node = GetU32(bytes, pos);
-      r.learned_from = GetU32(bytes, pos);
-      r.attrs = table.at(GetU32(bytes, pos));
+      r.protocol = in.Enum(Protocol::kOspf);
+      r.metric = in.U32();
+      r.origin_node = in.U32();
+      r.learned_from = in.U32();
+      r.attrs = table.at(in.U32());
     }
-    updates.push_back(std::move(update));
   }
   return updates;
 }
@@ -289,8 +207,9 @@ uint32_t AttrTableBuilder::IndexOf(const Route& route) {
 }
 
 void AttrTableBuilder::Serialize(std::vector<uint8_t>& out) const {
-  PutU32(out, static_cast<uint32_t>(tuples_.size()));
-  for (const AttrTuple* tuple : tuples_) PutTuple(out, *tuple);
+  util::WireWriter w(out);
+  w.U32(static_cast<uint32_t>(tuples_.size()));
+  for (const AttrTuple* tuple : tuples_) WriteTuple(w, *tuple);
 }
 
 size_t AttrTableBuilder::table_bytes() const {
@@ -299,24 +218,27 @@ size_t AttrTableBuilder::table_bytes() const {
   return bytes;
 }
 
-AttrTable AttrTable::Read(const std::vector<uint8_t>& bytes, size_t& pos,
-                          AttrPool& pool) {
-  uint32_t count = GetU32(bytes, pos);
-  if (count > (bytes.size() - pos) / kMinTupleBytes) {
-    throw util::WireFormatError("attr table count " + std::to_string(count) +
-                                " exceeds remaining bytes");
-  }
+AttrTable AttrTable::Read(util::WireReader& in, AttrPool& pool) {
+  const size_t count = in.Count(kMinTupleBytes);
   AttrTable table;
   table.handles_.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
+  for (size_t i = 0; i < count; ++i) {
     AttrTuple tuple;
-    tuple.local_pref = GetU32(bytes, pos);
-    tuple.med = GetU32(bytes, pos);
-    tuple.origin = GetU8(bytes, pos);
-    tuple.as_path = GetU32List(bytes, pos);
-    tuple.communities = GetU32List(bytes, pos);
+    tuple.local_pref = in.U32();
+    tuple.med = in.U32();
+    tuple.origin = in.U8();
+    tuple.as_path = in.U32List();
+    tuple.communities = in.U32List();
     table.handles_.push_back(pool.Intern(std::move(tuple)));
   }
+  return table;
+}
+
+AttrTable AttrTable::Read(const std::vector<uint8_t>& bytes, size_t& pos,
+                          AttrPool& pool) {
+  util::WireReader in(bytes, pos);
+  AttrTable table = Read(in, pool);
+  pos = in.pos();
   return table;
 }
 
@@ -333,9 +255,12 @@ const AttrHandle& AttrTable::at(uint32_t index) const {
 
 void SerializeRoutes(const std::vector<RouteUpdate>& updates,
                      std::vector<uint8_t>& out, AttrPool* stats_pool) {
+  // The table leads the batch but is complete only once the body has
+  // referenced every tuple: encode the body aside, then emit both.
   AttrTableBuilder table;
   std::vector<uint8_t> body;
-  PutRoutesBody(body, updates, table);
+  util::WireWriter body_writer(body);
+  WriteRoutesBody(body_writer, updates, table);
   table.Serialize(out);
   out.insert(out.end(), body.begin(), body.end());
   if (stats_pool != nullptr) {
@@ -348,34 +273,35 @@ void SerializeRoutes(const std::vector<RouteUpdate>& updates,
   }
 }
 
-std::vector<RouteUpdate> DeserializeRoutes(const std::vector<uint8_t>& bytes,
+std::vector<RouteUpdate> DeserializeRoutes(std::span<const uint8_t> bytes,
                                            AttrPool& pool) {
-  size_t pos = 0;
-  AttrTable table = AttrTable::Read(bytes, pos, pool);
-  return GetRoutesBody(bytes, pos, table);
+  util::WireReader in(bytes);
+  AttrTable table = AttrTable::Read(in, pool);
+  return ReadRoutesBody(in, table);
 }
 
 void PutRoutesSection(std::vector<uint8_t>& out,
                       const std::vector<RouteUpdate>& updates,
                       AttrTableBuilder& table) {
-  std::vector<uint8_t> chunk;
-  PutRoutesBody(chunk, updates, table);
-  PutWireU32(out, static_cast<uint32_t>(chunk.size()));
-  out.insert(out.end(), chunk.begin(), chunk.end());
+  util::WireWriter w(out);
+  const size_t slot = w.BeginSection();
+  WriteRoutesBody(w, updates, table);
+  w.EndSection(slot);
+}
+
+std::vector<RouteUpdate> GetRoutesSection(util::WireReader& in,
+                                          const AttrTable& table) {
+  util::WireReader section = in.Section();
+  return ReadRoutesBody(section, table);
 }
 
 std::vector<RouteUpdate> GetRoutesSection(const std::vector<uint8_t>& bytes,
                                           size_t& pos,
                                           const AttrTable& table) {
-  uint32_t len = GetWireU32(bytes, pos);
-  if (len > bytes.size() - pos) {
-    throw util::WireFormatError("routes section of " + std::to_string(len) +
-                                " bytes exceeds remaining input");
-  }
-  std::vector<uint8_t> chunk(bytes.data() + pos, bytes.data() + pos + len);
-  pos += len;
-  size_t chunk_pos = 0;
-  return GetRoutesBody(chunk, chunk_pos, table);
+  util::WireReader in(bytes, pos);
+  std::vector<RouteUpdate> updates = GetRoutesSection(in, table);
+  pos = in.pos();
+  return updates;
 }
 
 }  // namespace s2::cp

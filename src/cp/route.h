@@ -15,12 +15,14 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "cp/attr.h"
 #include "topo/graph.h"
 #include "util/ip.h"
+#include "util/wire.h"
 
 namespace s2::cp {
 
@@ -159,8 +161,10 @@ class AttrTableBuilder {
 // The decoded table: tuples re-interned into the receiving domain's pool.
 class AttrTable {
  public:
-  // Reads a table at `pos`, interning every tuple into `pool`. Throws
-  // util::WireFormatError on truncation or absurd counts.
+  // Reads a table, interning every tuple into `pool`. Throws
+  // util::WireFormatError on truncation or absurd counts. The positional
+  // form reads at `pos` of a raw buffer and advances it.
+  static AttrTable Read(util::WireReader& in, AttrPool& pool);
   static AttrTable Read(const std::vector<uint8_t>& bytes, size_t& pos,
                         AttrPool& pool);
 
@@ -179,16 +183,8 @@ class AttrTable {
 void SerializeRoutes(const std::vector<RouteUpdate>& updates,
                      std::vector<uint8_t>& out,
                      AttrPool* stats_pool = nullptr);
-std::vector<RouteUpdate> DeserializeRoutes(const std::vector<uint8_t>& bytes,
+std::vector<RouteUpdate> DeserializeRoutes(std::span<const uint8_t> bytes,
                                            AttrPool& pool);
-
-// Little-endian wire primitives shared by the route, RIB-state, and fault
-// checkpoint serializers. The getters throw util::WireFormatError on
-// truncated input.
-void PutWireU32(std::vector<uint8_t>& out, uint32_t v);
-uint32_t GetWireU32(const std::vector<uint8_t>& bytes, size_t& pos);
-void PutWireU64(std::vector<uint8_t>& out, uint64_t v);
-uint64_t GetWireU64(const std::vector<uint8_t>& bytes, size_t& pos);
 
 // The on-wire address-family byte leading every route batch body and
 // section chunk. kAfV4 selects the compact legacy encoding (u32 address +
@@ -201,10 +197,14 @@ inline constexpr uint8_t kAfV6 = static_cast<uint8_t>(util::Family::kV6);
 
 // A length-prefixed routes chunk, embeddable in composite formats (node
 // checkpoints) that continue reading past it. The attribute table is the
-// enclosing format's, shared across all its sections.
+// enclosing format's, shared across all its sections. The section is read
+// in place, without copying it out; the positional form reads at `pos` of
+// a raw buffer and advances it.
 void PutRoutesSection(std::vector<uint8_t>& out,
                       const std::vector<RouteUpdate>& updates,
                       AttrTableBuilder& table);
+std::vector<RouteUpdate> GetRoutesSection(util::WireReader& in,
+                                          const AttrTable& table);
 std::vector<RouteUpdate> GetRoutesSection(const std::vector<uint8_t>& bytes,
                                           size_t& pos,
                                           const AttrTable& table);

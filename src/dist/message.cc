@@ -1,113 +1,61 @@
 #include "dist/message.h"
 
-#include "cp/route.h"
-#include "util/status.h"
+#include "util/wire.h"
 
 namespace s2::dist {
 
 void EncodePacketBatch(const std::vector<dp::WirePacket>& frames,
                        std::vector<uint8_t>& payload) {
-  cp::PutWireU32(payload, static_cast<uint32_t>(frames.size()));
+  util::WireWriter out(payload);
+  out.U32(static_cast<uint32_t>(frames.size()));
   for (const dp::WirePacket& frame : frames) {
-    cp::PutWireU32(payload, frame.at);
-    cp::PutWireU32(payload, frame.from);
-    cp::PutWireU32(payload, frame.src);
-    cp::PutWireU32(payload, static_cast<uint32_t>(frame.hops));
-    cp::PutWireU32(payload, static_cast<uint32_t>(frame.path.size()));
-    for (topo::NodeId node : frame.path) cp::PutWireU32(payload, node);
-    cp::PutWireU32(payload, static_cast<uint32_t>(frame.set.size()));
-    payload.insert(payload.end(), frame.set.begin(), frame.set.end());
+    out.U32(frame.at);
+    out.U32(frame.from);
+    out.U32(frame.src);
+    out.U32(static_cast<uint32_t>(frame.hops));
+    out.U32List(frame.path);
+    out.Blob(frame.set);
   }
 }
 
 std::vector<dp::WirePacket> DecodePacketBatch(
-    const std::vector<uint8_t>& payload) {
-  std::vector<dp::WirePacket> frames;
-  size_t pos = 0;
-  uint32_t count = cp::GetWireU32(payload, pos);
-  // Each frame is at least 6 u32s; validate before reserving so a corrupt
-  // count field can't balloon the allocation.
-  constexpr size_t kMinFrameBytes = 24;
-  if (count > (payload.size() - pos) / kMinFrameBytes) {
-    throw util::WireFormatError("packet batch count exceeds payload");
-  }
-  frames.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    dp::WirePacket frame;
-    frame.at = cp::GetWireU32(payload, pos);
-    frame.from = cp::GetWireU32(payload, pos);
-    frame.src = cp::GetWireU32(payload, pos);
-    frame.hops = static_cast<int>(cp::GetWireU32(payload, pos));
-    uint32_t path_len = cp::GetWireU32(payload, pos);
-    if (path_len > (payload.size() - pos) / 4) {
-      throw util::WireFormatError("packet path length exceeds payload");
-    }
-    frame.path.reserve(path_len);
-    for (uint32_t p = 0; p < path_len; ++p) {
-      frame.path.push_back(cp::GetWireU32(payload, pos));
-    }
-    uint32_t set_len = cp::GetWireU32(payload, pos);
-    if (set_len > payload.size() - pos) {
-      throw util::WireFormatError("packet BDD section exceeds payload");
-    }
-    frame.set.assign(payload.begin() + pos, payload.begin() + pos + set_len);
-    pos += set_len;
-    frames.push_back(std::move(frame));
+    std::span<const uint8_t> payload) {
+  util::WireReader in(payload);
+  // Each frame is at least 6 u32s.
+  std::vector<dp::WirePacket> frames(in.Count(24));
+  for (dp::WirePacket& frame : frames) {
+    frame.at = in.U32();
+    frame.from = in.U32();
+    frame.src = in.U32();
+    frame.hops = static_cast<int>(in.U32());
+    frame.path = in.U32List();
+    frame.set = in.Blob();
   }
   return frames;
 }
 
 void EncodeMessage(const Message& message, std::vector<uint8_t>& out) {
-  out.push_back(static_cast<uint8_t>(message.type));
-  cp::PutWireU32(out, message.to_node);
-  cp::PutWireU32(out, message.from_node);
-  cp::PutWireU32(out, message.packet_src);
-  cp::PutWireU32(out, static_cast<uint32_t>(message.packet_hops));
-  cp::PutWireU32(out, static_cast<uint32_t>(message.packet_path.size()));
-  for (topo::NodeId node : message.packet_path) cp::PutWireU32(out, node);
-  cp::PutWireU32(out, static_cast<uint32_t>(message.payload.size()));
-  out.insert(out.end(), message.payload.begin(), message.payload.end());
+  util::WireWriter w(out);
+  w.U8(static_cast<uint8_t>(message.type));
+  w.U32(message.to_node);
+  w.U32(message.from_node);
+  w.U32(message.packet_src);
+  w.U32(static_cast<uint32_t>(message.packet_hops));
+  w.U32List(message.packet_path);
+  w.Blob(message.payload);
 }
 
-Message DecodeMessage(const std::vector<uint8_t>& bytes) {
+Message DecodeMessage(std::span<const uint8_t> bytes) {
+  util::WireReader in(bytes);
   Message message;
-  size_t pos = 0;
-  if (bytes.empty()) {
-    throw util::WireFormatError("empty message frame");
-  }
-  uint8_t type = bytes[pos++];
-  if (type > static_cast<uint8_t>(MessageType::kPacketBatch)) {
-    throw util::WireFormatError("unknown message type " +
-                                std::to_string(type));
-  }
-  message.type = static_cast<MessageType>(type);
-  message.to_node = cp::GetWireU32(bytes, pos);
-  message.from_node = cp::GetWireU32(bytes, pos);
-  message.packet_src = cp::GetWireU32(bytes, pos);
-  message.packet_hops = static_cast<int>(cp::GetWireU32(bytes, pos));
-  uint32_t path_len = cp::GetWireU32(bytes, pos);
-  if (path_len > (bytes.size() - pos) / 4) {
-    throw util::WireFormatError("message path length " +
-                                std::to_string(path_len) +
-                                " exceeds the frame");
-  }
-  message.packet_path.reserve(path_len);
-  for (uint32_t i = 0; i < path_len; ++i) {
-    message.packet_path.push_back(cp::GetWireU32(bytes, pos));
-  }
-  uint32_t payload_len = cp::GetWireU32(bytes, pos);
-  if (payload_len > bytes.size() - pos) {
-    throw util::WireFormatError("message payload length " +
-                                std::to_string(payload_len) +
-                                " exceeds the frame");
-  }
-  message.payload.assign(bytes.begin() + static_cast<ptrdiff_t>(pos),
-                         bytes.begin() + static_cast<ptrdiff_t>(pos) +
-                             payload_len);
-  pos += payload_len;
-  if (pos != bytes.size()) {
-    throw util::WireFormatError("trailing bytes after message frame");
-  }
+  message.type = in.Enum(MessageType::kPacketBatch);
+  message.to_node = in.U32();
+  message.from_node = in.U32();
+  message.packet_src = in.U32();
+  message.packet_hops = static_cast<int>(in.U32());
+  message.packet_path = in.U32List();
+  message.payload = in.Blob();
+  in.ExpectEnd("message frame");
   return message;
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dp/forwarding.h"
@@ -51,7 +52,7 @@ struct Message {
 void EncodePacketBatch(const std::vector<dp::WirePacket>& frames,
                        std::vector<uint8_t>& payload);
 std::vector<dp::WirePacket> DecodePacketBatch(
-    const std::vector<uint8_t>& payload);
+    std::span<const uint8_t> payload);
 
 // Whole-message codec: what the socket transport ships as one frame
 // (dist/socket_transport.h). Append-only encode; decode throws
@@ -59,6 +60,6 @@ std::vector<dp::WirePacket> DecodePacketBatch(
 // fields exceeding the remaining bytes — never aborts or allocates an
 // absurd length.
 void EncodeMessage(const Message& message, std::vector<uint8_t>& out);
-Message DecodeMessage(const std::vector<uint8_t>& bytes);
+Message DecodeMessage(std::span<const uint8_t> bytes);
 
 }  // namespace s2::dist

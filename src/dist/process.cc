@@ -12,90 +12,16 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "cp/route.h"
 #include "util/status.h"
 
 namespace s2::dist {
 
 namespace {
 
-using cp::GetWireU32;
-using cp::GetWireU64;
-using cp::PutWireU32;
-using cp::PutWireU64;
-
-// The framing layer refuses lengths above this before allocating: no
-// legitimate control payload (checkpoints included) approaches it, and a
-// corrupt length must not turn into a giant allocation.
-constexpr uint32_t kMaxFramePayload = 1u << 30;
-
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void PutBlob(std::vector<uint8_t>& out, const std::vector<uint8_t>& blob) {
-  PutWireU32(out, static_cast<uint32_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-std::vector<uint8_t> GetBlob(const std::vector<uint8_t>& bytes, size_t& pos) {
-  uint32_t len = GetWireU32(bytes, pos);
-  if (len > bytes.size() - pos) {
-    throw util::WireFormatError("control blob length exceeds input");
-  }
-  std::vector<uint8_t> blob(bytes.begin() + pos, bytes.begin() + pos + len);
-  pos += len;
-  return blob;
-}
-
-void PutString(std::vector<uint8_t>& out, const std::string& s) {
-  PutWireU32(out, static_cast<uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-std::string GetString(const std::vector<uint8_t>& bytes, size_t& pos) {
-  uint32_t len = GetWireU32(bytes, pos);
-  if (len > bytes.size() - pos) {
-    throw util::WireFormatError("control string length exceeds input");
-  }
-  std::string s(bytes.begin() + pos, bytes.begin() + pos + len);
-  pos += len;
-  return s;
-}
-
-void PutF64(std::vector<uint8_t>& out, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutWireU64(out, bits);
-}
-
-double GetF64(const std::vector<uint8_t>& bytes, size_t& pos) {
-  uint64_t bits = GetWireU64(bytes, pos);
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-WorkerCommand GetCommandByte(const std::vector<uint8_t>& bytes, size_t& pos) {
-  if (pos >= bytes.size()) {
-    throw util::WireFormatError("control frame truncated before command");
-  }
-  uint8_t raw = bytes[pos++];
-  if (raw < static_cast<uint8_t>(WorkerCommand::kInit) ||
-      raw > static_cast<uint8_t>(WorkerCommand::kResetPeak)) {
-    throw util::WireFormatError("unknown worker command byte");
-  }
-  return static_cast<WorkerCommand>(raw);
-}
-
-void CheckConsumed(const std::vector<uint8_t>& bytes, size_t pos,
-                   const char* what) {
-  if (pos != bytes.size()) {
-    throw util::WireFormatError(std::string("trailing bytes after ") + what);
-  }
 }
 
 }  // namespace
@@ -126,43 +52,44 @@ bool ParseWorkerMode(const std::string& text, WorkerMode* out) {
 
 std::vector<uint8_t> EncodeCtrlFrame(const CtrlFrame& frame) {
   std::vector<uint8_t> out;
-  out.push_back(static_cast<uint8_t>(frame.type));
+  util::WireWriter w(out);
+  w.U8(static_cast<uint8_t>(frame.type));
   switch (frame.type) {
     case CtrlType::kHello:
-      PutWireU32(out, frame.worker);
-      PutWireU32(out, frame.protocol);
-      PutWireU64(out, frame.pid);
+      w.U32(frame.worker);
+      w.U32(frame.protocol);
+      w.U64(frame.pid);
       break;
     case CtrlType::kHeartbeat:
-      PutWireU64(out, frame.seq);
+      w.U64(frame.seq);
       break;
     case CtrlType::kCommand:
-      out.push_back(static_cast<uint8_t>(frame.command));
-      PutWireU32(out, static_cast<uint32_t>(frame.shard));
-      PutWireU32(out, static_cast<uint32_t>(frame.round));
-      PutWireU32(out, frame.count);
-      PutBlob(out, frame.payload);
+      w.U8(static_cast<uint8_t>(frame.command));
+      w.U32(static_cast<uint32_t>(frame.shard));
+      w.U32(static_cast<uint32_t>(frame.round));
+      w.U32(frame.count);
+      w.Blob(frame.payload);
       break;
     case CtrlType::kResponse:
     case CtrlType::kCheckpointAck:
-      out.push_back(static_cast<uint8_t>(frame.command));
-      out.push_back(static_cast<uint8_t>(frame.status));
-      out.push_back(frame.flag);
-      PutF64(out, frame.phase_seconds);
-      PutWireU64(out, frame.live_bytes);
-      PutWireU64(out, frame.peak_bytes);
-      PutWireU64(out, frame.cache_hits);
-      PutWireU64(out, frame.cache_misses);
-      PutWireU64(out, frame.cache_evictions);
-      PutWireU64(out, frame.aux);
-      PutBlob(out, frame.payload);
+      w.U8(static_cast<uint8_t>(frame.command));
+      w.U8(static_cast<uint8_t>(frame.status));
+      w.U8(frame.flag);
+      w.F64(frame.phase_seconds);
+      w.U64(frame.live_bytes);
+      w.U64(frame.peak_bytes);
+      w.U64(frame.cache_hits);
+      w.U64(frame.cache_misses);
+      w.U64(frame.cache_evictions);
+      w.U64(frame.aux);
+      w.Blob(frame.payload);
       break;
     case CtrlType::kData:
-      PutWireU32(out, frame.dest);
-      PutBlob(out, frame.payload);
+      w.U32(frame.dest);
+      w.Blob(frame.payload);
       break;
     case CtrlType::kDeliver:
-      PutBlob(out, frame.payload);
+      w.Blob(frame.payload);
       break;
     case CtrlType::kDrain:
     case CtrlType::kShutdown:
@@ -171,71 +98,55 @@ std::vector<uint8_t> EncodeCtrlFrame(const CtrlFrame& frame) {
   return out;
 }
 
-CtrlFrame DecodeCtrlFrame(const std::vector<uint8_t>& bytes) {
-  if (bytes.empty()) {
-    throw util::WireFormatError("empty control frame");
-  }
-  size_t pos = 0;
-  uint8_t raw_type = bytes[pos++];
-  if (raw_type < static_cast<uint8_t>(CtrlType::kHello) ||
-      raw_type > static_cast<uint8_t>(CtrlType::kShutdown)) {
-    throw util::WireFormatError("unknown control frame type byte");
-  }
+CtrlFrame DecodeCtrlFrame(std::span<const uint8_t> bytes) {
+  util::WireReader in(bytes);
   CtrlFrame frame;
-  frame.type = static_cast<CtrlType>(raw_type);
+  frame.type = in.Enum(CtrlType::kShutdown, CtrlType::kHello);
+  auto command = [&in] {
+    return in.Enum(WorkerCommand::kResetPeak, WorkerCommand::kInit);
+  };
   switch (frame.type) {
     case CtrlType::kHello:
-      frame.worker = GetWireU32(bytes, pos);
-      frame.protocol = GetWireU32(bytes, pos);
-      frame.pid = GetWireU64(bytes, pos);
+      frame.worker = in.U32();
+      frame.protocol = in.U32();
+      frame.pid = in.U64();
       break;
     case CtrlType::kHeartbeat:
-      frame.seq = GetWireU64(bytes, pos);
+      frame.seq = in.U64();
       break;
     case CtrlType::kCommand:
-      frame.command = GetCommandByte(bytes, pos);
-      frame.shard = static_cast<int32_t>(GetWireU32(bytes, pos));
-      frame.round = static_cast<int32_t>(GetWireU32(bytes, pos));
-      frame.count = GetWireU32(bytes, pos);
-      frame.payload = GetBlob(bytes, pos);
+      frame.command = command();
+      frame.shard = static_cast<int32_t>(in.U32());
+      frame.round = static_cast<int32_t>(in.U32());
+      frame.count = in.U32();
+      frame.payload = in.Blob();
       break;
     case CtrlType::kResponse:
-    case CtrlType::kCheckpointAck: {
-      frame.command = GetCommandByte(bytes, pos);
-      if (pos + 2 > bytes.size()) {
-        throw util::WireFormatError("control response truncated");
-      }
-      uint8_t raw_status = bytes[pos++];
-      if (raw_status > static_cast<uint8_t>(CtrlStatus::kSpillFailed)) {
-        throw util::WireFormatError("unknown control status byte");
-      }
-      frame.status = static_cast<CtrlStatus>(raw_status);
-      frame.flag = bytes[pos++];
-      if (frame.flag > 1) {
-        throw util::WireFormatError("control response flag out of range");
-      }
-      frame.phase_seconds = GetF64(bytes, pos);
-      frame.live_bytes = GetWireU64(bytes, pos);
-      frame.peak_bytes = GetWireU64(bytes, pos);
-      frame.cache_hits = GetWireU64(bytes, pos);
-      frame.cache_misses = GetWireU64(bytes, pos);
-      frame.cache_evictions = GetWireU64(bytes, pos);
-      frame.aux = GetWireU64(bytes, pos);
-      frame.payload = GetBlob(bytes, pos);
+    case CtrlType::kCheckpointAck:
+      frame.command = command();
+      frame.status = in.Enum(CtrlStatus::kSpillFailed);
+      frame.flag = in.Bool() ? 1 : 0;
+      frame.phase_seconds = in.F64();
+      frame.live_bytes = in.U64();
+      frame.peak_bytes = in.U64();
+      frame.cache_hits = in.U64();
+      frame.cache_misses = in.U64();
+      frame.cache_evictions = in.U64();
+      frame.aux = in.U64();
+      frame.payload = in.Blob();
       break;
-    }
     case CtrlType::kData:
-      frame.dest = GetWireU32(bytes, pos);
-      frame.payload = GetBlob(bytes, pos);
+      frame.dest = in.U32();
+      frame.payload = in.Blob();
       break;
     case CtrlType::kDeliver:
-      frame.payload = GetBlob(bytes, pos);
+      frame.payload = in.Blob();
       break;
     case CtrlType::kDrain:
     case CtrlType::kShutdown:
       break;
   }
-  CheckConsumed(bytes, pos, "control frame");
+  in.ExpectEnd("control frame");
   return frame;
 }
 
@@ -243,251 +154,203 @@ CtrlFrame DecodeCtrlFrame(const std::vector<uint8_t>& bytes) {
 
 std::vector<uint8_t> EncodeWorkerInitSpec(const WorkerInitSpec& spec) {
   std::vector<uint8_t> out;
-  PutWireU32(out, spec.num_workers);
-  PutWireU32(out, spec.index);
-  PutWireU64(out, spec.memory_budget);
-  PutWireU64(out, spec.max_bdd_nodes);
-  PutWireU32(out, spec.layout_dst_bits);
-  PutWireU32(out, spec.layout_src_bits);
-  PutWireU32(out, spec.layout_meta_bits);
-  PutWireU32(out, spec.layout_family_bits);
-  PutWireU32(out, static_cast<uint32_t>(spec.max_hops));
-  PutWireU32(out, static_cast<uint32_t>(spec.num_shards));
-  PutWireU64(out, spec.seed);
-  PutWireU32(out, spec.heartbeat_interval_ms);
-  PutWireU32(out, static_cast<uint32_t>(spec.assignment.size()));
-  for (uint32_t w : spec.assignment) PutWireU32(out, w);
-  PutWireU32(out, static_cast<uint32_t>(spec.config_texts.size()));
-  for (const std::string& text : spec.config_texts) PutString(out, text);
+  util::WireWriter w(out);
+  w.U32(spec.num_workers);
+  w.U32(spec.index);
+  w.U64(spec.memory_budget);
+  w.U64(spec.max_bdd_nodes);
+  w.U32(spec.layout_dst_bits);
+  w.U32(spec.layout_src_bits);
+  w.U32(spec.layout_meta_bits);
+  w.U32(spec.layout_family_bits);
+  w.U32(static_cast<uint32_t>(spec.max_hops));
+  w.U32(static_cast<uint32_t>(spec.num_shards));
+  w.U64(spec.seed);
+  w.U32(spec.heartbeat_interval_ms);
+  w.U32List(spec.assignment);
+  w.U32(static_cast<uint32_t>(spec.config_texts.size()));
+  for (const std::string& text : spec.config_texts) w.String(text);
   return out;
 }
 
-WorkerInitSpec DecodeWorkerInitSpec(const std::vector<uint8_t>& bytes) {
+WorkerInitSpec DecodeWorkerInitSpec(std::span<const uint8_t> bytes) {
+  util::WireReader in(bytes);
   WorkerInitSpec spec;
-  size_t pos = 0;
-  spec.num_workers = GetWireU32(bytes, pos);
-  spec.index = GetWireU32(bytes, pos);
-  spec.memory_budget = GetWireU64(bytes, pos);
-  spec.max_bdd_nodes = GetWireU64(bytes, pos);
-  spec.layout_dst_bits = GetWireU32(bytes, pos);
-  spec.layout_src_bits = GetWireU32(bytes, pos);
-  spec.layout_meta_bits = GetWireU32(bytes, pos);
-  spec.layout_family_bits = GetWireU32(bytes, pos);
-  spec.max_hops = static_cast<int32_t>(GetWireU32(bytes, pos));
-  spec.num_shards = static_cast<int32_t>(GetWireU32(bytes, pos));
-  spec.seed = GetWireU64(bytes, pos);
-  spec.heartbeat_interval_ms = GetWireU32(bytes, pos);
-  uint32_t workers = GetWireU32(bytes, pos);
-  if (workers > (bytes.size() - pos) / 4) {
-    throw util::WireFormatError("init spec assignment count exceeds input");
-  }
-  spec.assignment.reserve(workers);
-  for (uint32_t i = 0; i < workers; ++i) {
-    spec.assignment.push_back(GetWireU32(bytes, pos));
-  }
-  uint32_t texts = GetWireU32(bytes, pos);
-  if (texts > (bytes.size() - pos) / 4) {
-    throw util::WireFormatError("init spec text count exceeds input");
-  }
-  spec.config_texts.reserve(texts);
-  for (uint32_t i = 0; i < texts; ++i) {
-    spec.config_texts.push_back(GetString(bytes, pos));
-  }
-  CheckConsumed(bytes, pos, "init spec");
+  spec.num_workers = in.U32();
+  spec.index = in.U32();
+  spec.memory_budget = in.U64();
+  spec.max_bdd_nodes = in.U64();
+  spec.layout_dst_bits = in.U32();
+  spec.layout_src_bits = in.U32();
+  spec.layout_meta_bits = in.U32();
+  spec.layout_family_bits = in.U32();
+  spec.max_hops = static_cast<int32_t>(in.U32());
+  spec.num_shards = static_cast<int32_t>(in.U32());
+  spec.seed = in.U64();
+  spec.heartbeat_interval_ms = in.U32();
+  spec.assignment = in.U32List();
+  spec.config_texts.resize(in.Count(4));
+  for (std::string& text : spec.config_texts) text = in.String();
+  in.ExpectEnd("init spec");
   return spec;
 }
 
+namespace {
+
+void WriteSpillBlobs(util::WireWriter& out,
+                     const std::vector<SpillBlob>& blobs) {
+  out.U32(static_cast<uint32_t>(blobs.size()));
+  for (const SpillBlob& blob : blobs) {
+    out.U32(static_cast<uint32_t>(blob.shard));
+    out.U32(blob.node);
+    out.Blob(blob.bytes);
+  }
+}
+
+}  // namespace
+
 std::vector<uint8_t> EncodeSpillBlobs(const std::vector<SpillBlob>& blobs) {
   std::vector<uint8_t> out;
-  PutWireU32(out, static_cast<uint32_t>(blobs.size()));
-  for (const SpillBlob& blob : blobs) {
-    PutWireU32(out, static_cast<uint32_t>(blob.shard));
-    PutWireU32(out, blob.node);
-    PutBlob(out, blob.bytes);
-  }
+  util::WireWriter w(out);
+  WriteSpillBlobs(w, blobs);
   return out;
 }
 
-std::vector<SpillBlob> DecodeSpillBlobs(const std::vector<uint8_t>& bytes) {
-  size_t pos = 0;
-  uint32_t count = GetWireU32(bytes, pos);
-  if (count > (bytes.size() - pos) / 12) {
-    throw util::WireFormatError("spill blob count exceeds input");
+std::vector<SpillBlob> DecodeSpillBlobs(std::span<const uint8_t> bytes) {
+  util::WireReader in(bytes);
+  std::vector<SpillBlob> blobs(in.Count(12));
+  for (SpillBlob& blob : blobs) {
+    blob.shard = static_cast<int32_t>(in.U32());
+    blob.node = in.U32();
+    blob.bytes = in.Blob();
   }
-  std::vector<SpillBlob> blobs;
-  blobs.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    SpillBlob blob;
-    blob.shard = static_cast<int32_t>(GetWireU32(bytes, pos));
-    blob.node = GetWireU32(bytes, pos);
-    blob.bytes = GetBlob(bytes, pos);
-    blobs.push_back(std::move(blob));
-  }
-  CheckConsumed(bytes, pos, "spill blobs");
+  in.ExpectEnd("spill blobs");
   return blobs;
 }
 
 std::vector<uint8_t> EncodeWorkerRestoreSpec(const WorkerRestoreSpec& spec) {
   std::vector<uint8_t> out;
-  PutWireU32(out, static_cast<uint32_t>(spec.shard_index));
-  PutWireU32(out, static_cast<uint32_t>(spec.to_round));
-  PutBlob(out, spec.checkpoint);
-  PutBlob(out, EncodeSpillBlobs(spec.spills));
-  PutWireU32(out, static_cast<uint32_t>(spec.log.size()));
+  util::WireWriter w(out);
+  w.U32(static_cast<uint32_t>(spec.shard_index));
+  w.U32(static_cast<uint32_t>(spec.to_round));
+  w.Blob(spec.checkpoint);
+  size_t spills = w.BeginSection();
+  WriteSpillBlobs(w, spec.spills);
+  w.EndSection(spills);
+  w.U32(static_cast<uint32_t>(spec.log.size()));
   for (const fault::LoggedDelivery& entry : spec.log) {
-    PutWireU32(out, static_cast<uint32_t>(entry.round));
-    std::vector<uint8_t> message;
-    EncodeMessage(entry.message, message);
-    PutBlob(out, message);
+    w.U32(static_cast<uint32_t>(entry.round));
+    size_t message = w.BeginSection();
+    EncodeMessage(entry.message, out);
+    w.EndSection(message);
   }
   return out;
 }
 
-WorkerRestoreSpec DecodeWorkerRestoreSpec(const std::vector<uint8_t>& bytes) {
+WorkerRestoreSpec DecodeWorkerRestoreSpec(std::span<const uint8_t> bytes) {
+  util::WireReader in(bytes);
   WorkerRestoreSpec spec;
-  size_t pos = 0;
-  spec.shard_index = static_cast<int32_t>(GetWireU32(bytes, pos));
-  spec.to_round = static_cast<int32_t>(GetWireU32(bytes, pos));
-  spec.checkpoint = GetBlob(bytes, pos);
-  spec.spills = DecodeSpillBlobs(GetBlob(bytes, pos));
-  uint32_t entries = GetWireU32(bytes, pos);
-  if (entries > (bytes.size() - pos) / 8) {
-    throw util::WireFormatError("restore log count exceeds input");
+  spec.shard_index = static_cast<int32_t>(in.U32());
+  spec.to_round = static_cast<int32_t>(in.U32());
+  spec.checkpoint = in.Blob();
+  spec.spills = DecodeSpillBlobs(in.BlobView());
+  spec.log.resize(in.Count(8));
+  for (fault::LoggedDelivery& entry : spec.log) {
+    entry.round = static_cast<int32_t>(in.U32());
+    entry.message = DecodeMessage(in.BlobView());
   }
-  spec.log.reserve(entries);
-  for (uint32_t i = 0; i < entries; ++i) {
-    fault::LoggedDelivery entry;
-    entry.round = static_cast<int32_t>(GetWireU32(bytes, pos));
-    entry.message = DecodeMessage(GetBlob(bytes, pos));
-    spec.log.push_back(std::move(entry));
-  }
-  CheckConsumed(bytes, pos, "restore spec");
+  in.ExpectEnd("restore spec");
   return spec;
 }
 
 std::vector<uint8_t> EncodeNodeBlobMap(
     const std::map<topo::NodeId, std::vector<uint8_t>>& blobs) {
   std::vector<uint8_t> out;
-  PutWireU32(out, static_cast<uint32_t>(blobs.size()));
-  for (const auto& [node, bytes] : blobs) {
-    PutWireU32(out, node);
-    PutBlob(out, bytes);
-  }
+  util::WireWriter(out).BlobMap(blobs);
   return out;
 }
 
 std::map<topo::NodeId, std::vector<uint8_t>> DecodeNodeBlobMap(
-    const std::vector<uint8_t>& bytes) {
-  size_t pos = 0;
-  uint32_t count = GetWireU32(bytes, pos);
-  if (count > (bytes.size() - pos) / 8) {
-    throw util::WireFormatError("node blob count exceeds input");
-  }
-  std::map<topo::NodeId, std::vector<uint8_t>> blobs;
-  for (uint32_t i = 0; i < count; ++i) {
-    topo::NodeId node = GetWireU32(bytes, pos);
-    blobs[node] = GetBlob(bytes, pos);
-  }
-  CheckConsumed(bytes, pos, "node blob map");
+    std::span<const uint8_t> bytes) {
+  util::WireReader in(bytes);
+  std::map<topo::NodeId, std::vector<uint8_t>> blobs = in.BlobMap();
+  in.ExpectEnd("node blob map");
   return blobs;
 }
 
 std::vector<uint8_t> EncodeOomError(const std::string& domain,
                                     uint64_t requested, uint64_t budget) {
   std::vector<uint8_t> out;
-  PutString(out, domain);
-  PutWireU64(out, requested);
-  PutWireU64(out, budget);
+  util::WireWriter w(out);
+  w.String(domain);
+  w.U64(requested);
+  w.U64(budget);
   return out;
 }
 
-void DecodeOomError(const std::vector<uint8_t>& bytes, std::string* domain,
+void DecodeOomError(std::span<const uint8_t> bytes, std::string* domain,
                     uint64_t* requested, uint64_t* budget) {
-  size_t pos = 0;
-  *domain = GetString(bytes, pos);
-  *requested = GetWireU64(bytes, pos);
-  *budget = GetWireU64(bytes, pos);
-  CheckConsumed(bytes, pos, "oom error");
+  util::WireReader in(bytes);
+  *domain = in.String();
+  *requested = in.U64();
+  *budget = in.U64();
+  in.ExpectEnd("oom error");
 }
 
 std::vector<uint8_t> EncodeSpillError(const util::SpillError& error) {
   std::vector<uint8_t> out;
-  PutString(out, error.op());
-  PutString(out, error.path());
-  PutWireU32(out, static_cast<uint32_t>(error.error()));
+  util::WireWriter w(out);
+  w.String(error.op());
+  w.String(error.path());
+  w.U32(static_cast<uint32_t>(error.error()));
   return out;
 }
 
-util::SpillError DecodeSpillError(const std::vector<uint8_t>& bytes) {
-  size_t pos = 0;
-  std::string op = GetString(bytes, pos);
-  std::string path = GetString(bytes, pos);
-  int error = static_cast<int>(GetWireU32(bytes, pos));
-  CheckConsumed(bytes, pos, "spill error");
+util::SpillError DecodeSpillError(std::span<const uint8_t> bytes) {
+  util::WireReader in(bytes);
+  std::string op = in.String();
+  std::string path = in.String();
+  int error = static_cast<int>(in.U32());
+  in.ExpectEnd("spill error");
   return util::SpillError(op, path, error);
 }
 
 // --------------------------------------------------------- stream framing
 
-bool WriteFrameFd(int fd, const std::vector<uint8_t>& payload) {
-  uint8_t header[4];
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  header[0] = static_cast<uint8_t>(len);
-  header[1] = static_cast<uint8_t>(len >> 8);
-  header[2] = static_cast<uint8_t>(len >> 16);
-  header[3] = static_cast<uint8_t>(len >> 24);
-  auto write_all = [fd](const uint8_t* data, size_t size) {
-    size_t sent = 0;
-    while (sent < size) {
-      ssize_t n = send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      sent += static_cast<size_t>(n);
+bool WriteFrameFd(int fd, std::span<const uint8_t> payload) {
+  std::vector<uint8_t> wire;
+  wire.reserve(4 + payload.size());
+  util::WireWriter(wire).Blob(payload);
+  size_t sent = 0;
+  while (sent < wire.size()) {
+    ssize_t n = send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
     }
-    return true;
-  };
-  if (!write_all(header, sizeof(header))) return false;
-  return write_all(payload.data(), payload.size());
-}
-
-bool ReadFrameFd(int fd, std::vector<uint8_t>* payload) {
-  auto read_all = [fd](uint8_t* data, size_t size, bool* clean_eof) {
-    size_t got = 0;
-    while (got < size) {
-      ssize_t n = read(fd, data + got, size - got);
-      if (n == 0) {
-        *clean_eof = (got == 0);
-        return false;
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        *clean_eof = (got == 0);
-        return false;
-      }
-      got += static_cast<size_t>(n);
-    }
-    return true;
-  };
-  uint8_t header[4];
-  bool clean = false;
-  if (!read_all(header, sizeof(header), &clean)) {
-    if (clean) return false;
-    throw util::WireFormatError("control stream truncated mid-frame");
-  }
-  uint32_t len = static_cast<uint32_t>(header[0]) |
-                 static_cast<uint32_t>(header[1]) << 8 |
-                 static_cast<uint32_t>(header[2]) << 16 |
-                 static_cast<uint32_t>(header[3]) << 24;
-  if (len > kMaxFramePayload) {
-    throw util::WireFormatError("control frame length is absurd");
-  }
-  payload->resize(len);
-  if (len > 0 && !read_all(payload->data(), len, &clean)) {
-    throw util::WireFormatError("control stream truncated mid-frame");
+    sent += static_cast<size_t>(n);
   }
   return true;
+}
+
+bool ReadFrameFd(int fd, util::FrameReader& reader,
+                 std::vector<uint8_t>* payload) {
+  for (;;) {
+    std::span<const uint8_t> frame;
+    if (reader.Next(&frame)) {
+      payload->assign(frame.begin(), frame.end());
+      return true;
+    }
+    uint8_t buf[65536];
+    ssize_t n = read(fd, buf, sizeof(buf));
+    if (n > 0) {
+      reader.Feed(buf, static_cast<size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (reader.buffered() == 0) return false;
+    throw util::WireFormatError("control stream truncated mid-frame");
+  }
 }
 
 // ------------------------------------------------------------- locating
@@ -538,6 +401,7 @@ ProcessWorkerHandle::ProcessWorkerHandle(uint32_t index, std::string binary,
       fabric_(fabric),
       options_(options),
       stats_(stats),
+      rx_(kMaxCtrlFramePayload),
       memory_budget_(memory_budget),
       query_tracker_("worker-" + std::to_string(index) + "-query",
                      memory_budget) {
@@ -577,7 +441,7 @@ void ProcessWorkerHandle::Spawn(bool is_respawn) {
   // A fresh channel is a fresh stream: a predecessor killed mid-write
   // leaves a partial frame in rx_, and any stale byte would desync the new
   // child's hello into protocol garbage.
-  rx_.clear();
+  rx_.Clear();
   staged_.clear();
   // SOCK_CLOEXEC atomically: handles spawn concurrently (parallel Setup,
   // inline recovery under pool threads), and a sibling fork between
@@ -675,10 +539,10 @@ void ProcessWorkerHandle::Shutdown() {
         uint8_t buf[4096];
         ssize_t n = recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
         if (n <= 0) break;
-        rx_.insert(rx_.end(), buf, buf + n);
+        rx_.Feed(buf, static_cast<size_t>(n));
         bool drained = false;
-        std::vector<uint8_t> payload;
-        while (TakeRxFrame(&payload)) {
+        std::span<const uint8_t> payload;
+        while (rx_.Next(&payload)) {
           CtrlFrame frame = DecodeCtrlFrame(payload);
           if (frame.type == CtrlType::kDrain) {
             drained = true;
@@ -729,31 +593,11 @@ void ProcessWorkerHandle::Shutdown() {
 
 // ------------------------------------------------------------ stream I/O
 
-bool ProcessWorkerHandle::TakeRxFrame(std::vector<uint8_t>* payload) {
-  if (rx_.size() < 4) return false;
-  uint32_t len = static_cast<uint32_t>(rx_[0]) |
-                 static_cast<uint32_t>(rx_[1]) << 8 |
-                 static_cast<uint32_t>(rx_[2]) << 16 |
-                 static_cast<uint32_t>(rx_[3]) << 24;
-  if (len > kMaxFramePayload) {
-    throw util::WireFormatError("control frame length is absurd");
-  }
-  if (rx_.size() < 4 + static_cast<size_t>(len)) return false;
-  payload->assign(rx_.begin() + 4, rx_.begin() + 4 + len);
-  rx_.erase(rx_.begin(), rx_.begin() + 4 + len);
-  return true;
-}
-
 void ProcessWorkerHandle::WriteFrame(const CtrlFrame& frame) {
   std::vector<uint8_t> payload = EncodeCtrlFrame(frame);
   std::vector<uint8_t> wire;
   wire.reserve(4 + payload.size());
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  wire.push_back(static_cast<uint8_t>(len));
-  wire.push_back(static_cast<uint8_t>(len >> 8));
-  wire.push_back(static_cast<uint8_t>(len >> 16));
-  wire.push_back(static_cast<uint8_t>(len >> 24));
-  wire.insert(wire.end(), payload.begin(), payload.end());
+  util::WireWriter(wire).Blob(payload);
 
   // Non-blocking send with a bounded wait: a SIGSTOPped child stops
   // reading, the socket buffer fills, and an unbounded blocking write
@@ -789,8 +633,8 @@ CtrlFrame ProcessWorkerHandle::AwaitFrame() {
   int64_t last_activity = NowMs();
   bool warned = false;
   for (;;) {
-    std::vector<uint8_t> payload;
-    while (TakeRxFrame(&payload)) {
+    std::span<const uint8_t> payload;
+    while (rx_.Next(&payload)) {
       CtrlFrame frame = DecodeCtrlFrame(payload);
       if (frame.type == CtrlType::kHeartbeat) {
         stats_->heartbeats.fetch_add(1, std::memory_order_relaxed);
@@ -805,7 +649,7 @@ CtrlFrame ProcessWorkerHandle::AwaitFrame() {
       uint8_t buf[65536];
       ssize_t n = recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
       if (n > 0) {
-        rx_.insert(rx_.end(), buf, buf + n);
+        rx_.Feed(buf, static_cast<size_t>(n));
         last_activity = NowMs();
         continue;
       }
@@ -839,10 +683,10 @@ CtrlFrame ProcessWorkerHandle::AwaitFrame() {
 void ProcessWorkerHandle::AwaitHello() {
   int64_t deadline = NowMs() + options_.hang_kill_ms + 10000;
   for (;;) {
-    std::vector<uint8_t> payload;
+    std::span<const uint8_t> payload;
     bool have = false;
     try {
-      have = TakeRxFrame(&payload);
+      have = rx_.Next(&payload);
     } catch (const util::WireFormatError& e) {
       throw ChildFailure{e.what()};
     }
@@ -878,7 +722,7 @@ void ProcessWorkerHandle::AwaitHello() {
       uint8_t buf[4096];
       ssize_t n = recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
       if (n > 0) {
-        rx_.insert(rx_.end(), buf, buf + n);
+        rx_.Feed(buf, static_cast<size_t>(n));
       } else if (n == 0 ||
                  (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
         throw ChildFailure{"worker process died before hello (exec failure "

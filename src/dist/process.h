@@ -27,12 +27,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dist/handle.h"
 #include "util/status.h"
+#include "util/wire.h"
 
 namespace s2::dist {
 
@@ -166,8 +168,13 @@ struct CtrlFrame {
 // command bytes are renumbered densely, and kSpillFailed is a status.
 constexpr uint32_t kCtrlProtocolVersion = 2;
 
+// Both ends refuse a frame length above this before buffering for it: no
+// legitimate control payload (checkpoints included) approaches it, and a
+// corrupt length must not turn into a giant allocation.
+inline constexpr size_t kMaxCtrlFramePayload = size_t{1} << 30;
+
 std::vector<uint8_t> EncodeCtrlFrame(const CtrlFrame& frame);
-CtrlFrame DecodeCtrlFrame(const std::vector<uint8_t>& bytes);
+CtrlFrame DecodeCtrlFrame(std::span<const uint8_t> bytes);
 
 // Everything a child needs to reconstruct the run: the worker re-parses
 // the configs and re-derives the shard plan, so neither the network nor
@@ -195,7 +202,7 @@ struct WorkerInitSpec {
 };
 
 std::vector<uint8_t> EncodeWorkerInitSpec(const WorkerInitSpec& spec);
-WorkerInitSpec DecodeWorkerInitSpec(const std::vector<uint8_t>& bytes);
+WorkerInitSpec DecodeWorkerInitSpec(std::span<const uint8_t> bytes);
 
 // One serialized (shard, node) spill blob, shipped child -> controller in
 // SpillBgp responses and controller -> child in restore specs.
@@ -206,7 +213,7 @@ struct SpillBlob {
 };
 
 std::vector<uint8_t> EncodeSpillBlobs(const std::vector<SpillBlob>& blobs);
-std::vector<SpillBlob> DecodeSpillBlobs(const std::vector<uint8_t>& bytes);
+std::vector<SpillBlob> DecodeSpillBlobs(std::span<const uint8_t> bytes);
 
 // The kRestore payload: checkpoint + spills + replay log + replay bound.
 struct WorkerRestoreSpec {
@@ -218,32 +225,35 @@ struct WorkerRestoreSpec {
 };
 
 std::vector<uint8_t> EncodeWorkerRestoreSpec(const WorkerRestoreSpec& spec);
-WorkerRestoreSpec DecodeWorkerRestoreSpec(const std::vector<uint8_t>& bytes);
+WorkerRestoreSpec DecodeWorkerRestoreSpec(std::span<const uint8_t> bytes);
 
 // node -> blob map (SnapshotPredicates responses).
 std::vector<uint8_t> EncodeNodeBlobMap(
     const std::map<topo::NodeId, std::vector<uint8_t>>& blobs);
 std::map<topo::NodeId, std::vector<uint8_t>> DecodeNodeBlobMap(
-    const std::vector<uint8_t>& bytes);
+    std::span<const uint8_t> bytes);
 
 // kOom error payload: enough to rethrow an identical util::SimulatedOom
 // controller-side.
 std::vector<uint8_t> EncodeOomError(const std::string& domain,
                                     uint64_t requested, uint64_t budget);
-void DecodeOomError(const std::vector<uint8_t>& bytes, std::string* domain,
+void DecodeOomError(std::span<const uint8_t> bytes, std::string* domain,
                     uint64_t* requested, uint64_t* budget);
 
 // kSpillFailed payload: op, path and errno of a util::SpillError, enough
 // to rethrow an identical one controller-side.
 std::vector<uint8_t> EncodeSpillError(const util::SpillError& error);
-util::SpillError DecodeSpillError(const std::vector<uint8_t>& bytes);
+util::SpillError DecodeSpillError(std::span<const uint8_t> bytes);
 
-// Reads/writes one [u32 LE length | payload] frame on a stream fd.
-// WriteFrameFd returns false on a broken pipe; ReadFrameFd returns false
-// on clean EOF at a frame boundary and throws util::WireFormatError on a
-// truncated frame or an absurd length.
-bool WriteFrameFd(int fd, const std::vector<uint8_t>& payload);
-bool ReadFrameFd(int fd, std::vector<uint8_t>* payload);
+// Blocking I/O of one [u32 LE length | payload] frame on a stream fd.
+// WriteFrameFd returns false on a broken pipe. ReadFrameFd reassembles
+// through `reader` (which keeps any bytes read past the frame for the
+// next call); it returns false on clean EOF at a frame boundary and
+// throws util::WireFormatError on a truncated frame or a length above the
+// reader's cap.
+bool WriteFrameFd(int fd, std::span<const uint8_t> payload);
+bool ReadFrameFd(int fd, util::FrameReader& reader,
+                 std::vector<uint8_t>* payload);
 
 // Resolves the s2_worker binary: $S2_WORKER_BIN, then `configured`, then
 // candidates next to /proc/self/exe. Throws std::runtime_error when
@@ -331,8 +341,6 @@ class ProcessWorkerHandle : public WorkerHandle {
   void Spawn(bool is_respawn);
   void ReapChild();
   void KillChild();
-  // Pops one complete frame payload from the receive buffer.
-  bool TakeRxFrame(std::vector<uint8_t>* payload);
 
   // Sends `frame`, awaits the matching response, recovering and retrying
   // per the command's replay semantics on failure. `reissue` = false for
@@ -380,8 +388,8 @@ class ProcessWorkerHandle : public WorkerHandle {
   // metric reads on the way out serve cached values instead of respawning.
   bool lost_ = false;
 
-  // Stream reassembly buffer for the non-blocking parent end.
-  std::vector<uint8_t> rx_;
+  // Stream reassembly for the non-blocking parent end.
+  util::FrameReader rx_;
 
   std::vector<Message> staged_;
 

@@ -16,6 +16,7 @@
 
 #include "obs/trace.h"
 #include "util/status.h"
+#include "util/wire.h"
 
 namespace s2::dist {
 
@@ -25,18 +26,17 @@ namespace {
 constexpr uint32_t kHelloMagic = 0x53325452;  // "S2TR"
 constexpr size_t kHelloBytes = 8;
 constexpr size_t kLengthPrefixBytes = 4;
-
-void PutLe32(std::vector<uint8_t>& out, uint32_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v >> 16));
-  out.push_back(static_cast<uint8_t>(v >> 24));
-}
-
-uint32_t GetLe32(const uint8_t* p) {
-  return uint32_t{p[0]} | (uint32_t{p[1]} << 8) | (uint32_t{p[2]} << 16) |
-         (uint32_t{p[3]} << 24);
-}
+// Upper bound a received length prefix may claim; larger values are a
+// malformed stream (util::WireFormatError), not an allocation.
+constexpr size_t kMaxFrameBytes = size_t{64} << 20;
+// Per-channel userspace send-buffer high-water mark: beyond it Send
+// records backpressure and stalls (bounded by kMaxStallMs) trying to
+// flush.
+constexpr size_t kHighWaterBytes = size_t{1} << 20;
+constexpr int64_t kMaxStallMs = 50;
+// Longest a Drain pumps the event loop waiting for frames that were
+// enqueued but have not yet crossed the socket.
+constexpr int64_t kDrainWaitMs = 2000;
 
 void SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
@@ -193,8 +193,9 @@ void SocketTransport::DialLocked(Channel& channel, uint32_t from,
   Blob hello;
   hello.hello = true;
   hello.bytes.reserve(kHelloBytes);
-  PutLe32(hello.bytes, kHelloMagic);
-  PutLe32(hello.bytes, from);
+  util::WireWriter w(hello.bytes);
+  w.U32(kHelloMagic);
+  w.U32(from);
   channel.buffered_bytes += hello.bytes.size();
   channel.out.push_front(std::move(hello));
 }
@@ -358,15 +359,15 @@ void SocketTransport::EnqueueFrame(uint32_t from, uint32_t to,
   channel.out.push_back(Blob{std::move(framed), false});
   channel.frames_enqueued.fetch_add(1, std::memory_order_relaxed);
   FlushLocked(channel, from, to);
-  if (channel.buffered_bytes > options_.high_water_bytes) {
+  if (channel.buffered_bytes > kHighWaterBytes) {
     // Backpressure: the peer is not keeping up (or not draining yet).
     // Stall briefly trying to push the buffer back under the mark; give
-    // up after max_stall_ms — the userspace buffer is unbounded, so this
+    // up after kMaxStallMs — the userspace buffer is unbounded, so this
     // trades latency for memory, never deadlock.
     stats_.backpressure_hits.fetch_add(1, std::memory_order_relaxed);
     int64_t start = NowMicros();
-    int64_t deadline = start + int64_t{options_.max_stall_ms} * 1000;
-    while (channel.buffered_bytes > options_.high_water_bytes &&
+    int64_t deadline = start + kMaxStallMs * 1000;
+    while (channel.buffered_bytes > kHighWaterBytes &&
            channel.fd >= 0 && NowMicros() < deadline) {
       pollfd pfd{channel.fd, POLLOUT, 0};
       ::poll(&pfd, 1, 1);
@@ -379,62 +380,45 @@ void SocketTransport::EnqueueFrame(uint32_t from, uint32_t to,
 
 bool SocketTransport::ExtractFramesLocked(Endpoint& endpoint, Inbound& conn,
                                           uint32_t worker) {
-  size_t pos = 0;
   bool progress = false;
-  bool resumed_partial = !conn.partial.empty() && conn.from != UINT32_MAX;
+  bool resumed_partial =
+      conn.reader.buffered() > 0 && conn.from != UINT32_MAX;
   if (conn.from == UINT32_MAX) {
-    if (conn.partial.size() < kHelloBytes) return false;
-    if (GetLe32(conn.partial.data()) != kHelloMagic) {
+    std::span<const uint8_t> hello;
+    if (!conn.reader.Take(kHelloBytes, &hello)) return false;
+    util::WireReader in(hello);
+    if (in.U32() != kHelloMagic) {
       throw util::WireFormatError("bad transport hello magic");
     }
-    uint32_t from = GetLe32(conn.partial.data() + 4);
+    uint32_t from = in.U32();
     if (from >= num_workers_ || from == worker) {
       throw util::WireFormatError("transport hello names worker " +
                                   std::to_string(from));
     }
     conn.from = from;
-    pos = kHelloBytes;
     progress = true;
   }
   // Only the oldest live connection of a channel may deliver frames: a
   // reconnect's frames must not overtake the tail still buffered in the
   // broken connection's stream.
-  bool active = true;
   for (const auto& other : endpoint.conns) {
     if (other.get() != &conn && other->from == conn.from &&
         other->accept_seq < conn.accept_seq) {
-      active = false;
-      break;
+      return progress;
     }
   }
-  if (active) {
-    while (conn.partial.size() - pos >= kLengthPrefixBytes) {
-      uint32_t len = GetLe32(conn.partial.data() + pos);
-      if (len > options_.max_frame_bytes) {
-        throw util::WireFormatError("transport frame length " +
-                                    std::to_string(len) +
-                                    " exceeds the frame cap");
-      }
-      if (conn.partial.size() - pos - kLengthPrefixBytes < len) break;
-      pos += kLengthPrefixBytes;
-      endpoint.ready[conn.from].emplace_back(
-          conn.partial.begin() + static_cast<ptrdiff_t>(pos),
-          conn.partial.begin() + static_cast<ptrdiff_t>(pos + len));
-      pos += len;
-      Channel& channel = ChannelFor(conn.from, worker);
-      channel.frames_received.fetch_add(1, std::memory_order_relaxed);
-      stats_.frames_received.fetch_add(1, std::memory_order_relaxed);
-      if (resumed_partial) {
-        stats_.partial_reads.fetch_add(1, std::memory_order_relaxed);
-        resumed_partial = false;
-      }
-      NoteQueueDepth(worker);
-      progress = true;
+  std::span<const uint8_t> frame;
+  while (conn.reader.Next(&frame)) {
+    endpoint.ready[conn.from].emplace_back(frame.begin(), frame.end());
+    Channel& channel = ChannelFor(conn.from, worker);
+    channel.frames_received.fetch_add(1, std::memory_order_relaxed);
+    stats_.frames_received.fetch_add(1, std::memory_order_relaxed);
+    if (resumed_partial) {
+      stats_.partial_reads.fetch_add(1, std::memory_order_relaxed);
+      resumed_partial = false;
     }
-  }
-  if (pos > 0) {
-    conn.partial.erase(conn.partial.begin(),
-                       conn.partial.begin() + static_cast<ptrdiff_t>(pos));
+    NoteQueueDepth(worker);
+    progress = true;
   }
   return progress;
 }
@@ -453,7 +437,7 @@ bool SocketTransport::PumpEndpointLocked(Endpoint& endpoint,
       break;  // EAGAIN or a transient error: try again next pump
     }
     SetNonBlocking(fd);
-    auto conn = std::make_unique<Inbound>();
+    auto conn = std::make_unique<Inbound>(kMaxFrameBytes);
     conn->fd = fd;
     conn->accept_seq = ++endpoint.accept_counter;
     endpoint.conns.push_back(std::move(conn));
@@ -466,7 +450,7 @@ bool SocketTransport::PumpEndpointLocked(Endpoint& endpoint,
       uint8_t buf[64 * 1024];
       ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
       if (n > 0) {
-        conn->partial.insert(conn->partial.end(), buf, buf + n);
+        conn->reader.Feed(buf, static_cast<size_t>(n));
         stats_.bytes_received.fetch_add(static_cast<size_t>(n),
                                         std::memory_order_relaxed);
         progress = true;
@@ -502,7 +486,7 @@ bool SocketTransport::PumpEndpointLocked(Endpoint& endpoint,
       // A finished connection leaves only a truncated tail (the sender
       // dropped the matching half-written frame and counted it lost) or
       // an unparsed hello; either way it is done.
-      if (!conn.partial.empty() && conn.from != UINT32_MAX) {
+      if (conn.reader.buffered() > 0 && conn.from != UINT32_MAX) {
         stats_.partial_frames_discarded.fetch_add(1,
                                                   std::memory_order_relaxed);
       }
@@ -537,7 +521,7 @@ std::vector<std::vector<uint8_t>> SocketTransport::DrainRaw(
   span.Arg("worker", static_cast<int64_t>(worker));
   Endpoint& endpoint = *endpoints_[worker];
   std::lock_guard<std::mutex> lock(endpoint.mutex);
-  int64_t deadline = NowMicros() + int64_t{options_.drain_wait_ms} * 1000;
+  int64_t deadline = NowMicros() + kDrainWaitMs * 1000;
   for (;;) {
     bool progress = PumpEndpointLocked(endpoint, worker);
     if (AllArrivedLocked(endpoint, worker)) break;
@@ -584,13 +568,10 @@ std::vector<std::vector<uint8_t>> SocketTransport::DrainRaw(
 void SocketTransport::Send(uint32_t from, uint32_t to, Message message) {
   std::vector<uint8_t> framed;
   framed.reserve(kLengthPrefixBytes + 64 + message.payload.size());
-  PutLe32(framed, 0);  // patched below
+  util::WireWriter w(framed);
+  const size_t slot = w.BeginSection();
   EncodeMessage(message, framed);
-  uint32_t len = static_cast<uint32_t>(framed.size() - kLengthPrefixBytes);
-  framed[0] = static_cast<uint8_t>(len);
-  framed[1] = static_cast<uint8_t>(len >> 8);
-  framed[2] = static_cast<uint8_t>(len >> 16);
-  framed[3] = static_cast<uint8_t>(len >> 24);
+  w.EndSection(slot);
   EnqueueFrame(from, to, std::move(framed), true);
 }
 
@@ -608,8 +589,7 @@ void SocketTransport::SendFrame(uint32_t from, uint32_t to,
                                 std::vector<uint8_t> frame) {
   std::vector<uint8_t> framed;
   framed.reserve(kLengthPrefixBytes + frame.size());
-  PutLe32(framed, static_cast<uint32_t>(frame.size()));
-  framed.insert(framed.end(), frame.begin(), frame.end());
+  util::WireWriter(framed).Blob(frame);
   EnqueueFrame(from, to, std::move(framed), true);
 }
 

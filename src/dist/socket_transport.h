@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "dist/transport.h"
+#include "util/wire.h"
 
 namespace s2::dist {
 
@@ -98,10 +99,11 @@ class SocketTransport : public Transport {
 
   // One accepted inbound connection at the receiver.
   struct Inbound {
+    explicit Inbound(size_t max_frame_bytes) : reader(max_frame_bytes) {}
     int fd = -1;
-    uint32_t from = UINT32_MAX;    // set once the hello is parsed
-    uint64_t accept_seq = 0;       // per-channel supersession order
-    std::vector<uint8_t> partial;  // unparsed stream bytes
+    uint32_t from = UINT32_MAX;  // set once the hello is parsed
+    uint64_t accept_seq = 0;     // per-channel supersession order
+    util::FrameReader reader;    // the hello, then frames
     bool eof = false;
   };
 
@@ -146,7 +148,7 @@ class SocketTransport : public Transport {
   // until EAGAIN, reassembling frames into endpoint.ready. Endpoint lock
   // held. Returns true on progress.
   bool PumpEndpointLocked(Endpoint& endpoint, uint32_t worker);
-  // Parses hello + complete frames out of `conn.partial`.
+  // Parses the hello, then complete frames, out of `conn.reader`.
   bool ExtractFramesLocked(Endpoint& endpoint, Inbound& conn,
                            uint32_t worker);
   // True once every frame enqueued for `worker` (minus losses) has been

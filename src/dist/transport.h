@@ -46,17 +46,6 @@ bool ParseTransportKind(const std::string& name, TransportKind& kind);
 
 // Socket-transport tuning; ignored by the in-process double.
 struct TransportOptions {
-  // Per-channel userspace send-buffer high-water mark: beyond it Send
-  // records backpressure and stalls (bounded) trying to flush.
-  size_t high_water_bytes = 1u << 20;
-  // Upper bound a received length prefix may claim; larger values are a
-  // malformed stream (util::WireFormatError), not an allocation.
-  size_t max_frame_bytes = 64u << 20;
-  // Longest a Drain will pump the event loop waiting for frames that were
-  // enqueued but have not yet crossed the socket.
-  int drain_wait_ms = 2000;
-  // Longest one Send may stall flushing a channel over its high-water mark.
-  int max_stall_ms = 50;
   // Test hooks (0 = unlimited): cap bytes per write() syscall, and total
   // bytes flushed per flush call — lets tests force partial writes and
   // leave a frame half-written across a disconnect.

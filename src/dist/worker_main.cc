@@ -159,11 +159,12 @@ int RunWorker(int fd, uint32_t index, int heartbeat_ms) {
   std::vector<Message> pending;  // kDeliver frames ahead of the command
   int exit_code = 0;
 
+  util::FrameReader reader(kMaxCtrlFramePayload);
   for (;;) {
     std::vector<uint8_t> payload;
     bool have = false;
     try {
-      have = ReadFrameFd(fd, &payload);
+      have = ReadFrameFd(fd, reader, &payload);
     } catch (const util::WireFormatError&) {
       exit_code = 1;
       break;

@@ -3,56 +3,36 @@
 #include <algorithm>
 
 #include "bdd/bdd_io.h"
-#include "cp/route.h"
 #include "util/status.h"
+#include "util/wire.h"
 
 namespace s2::fault {
 
 namespace {
 
-void PutBddSection(std::vector<uint8_t>& out, const bdd::Bdd& f) {
-  std::vector<uint8_t> chunk = bdd::Serialize(f);
-  cp::PutWireU32(out, static_cast<uint32_t>(chunk.size()));
-  out.insert(out.end(), chunk.begin(), chunk.end());
-}
-
-bdd::Bdd GetBddSection(bdd::Manager& manager,
-                       const std::vector<uint8_t>& bytes, size_t& pos) {
-  uint32_t len = cp::GetWireU32(bytes, pos);
-  if (len > bytes.size() - pos) {
-    throw util::WireFormatError("BDD section exceeds checkpoint bytes");
-  }
-  std::vector<uint8_t> chunk(bytes.data() + pos, bytes.data() + pos + len);
-  pos += len;
-  return bdd::DeserializeInto(manager, chunk);
-}
-
 // Per-port predicate maps are unordered; serialize in sorted neighbor
 // order so equal predicates always produce equal bytes.
-void PutPortMap(std::vector<uint8_t>& out,
-                const std::unordered_map<topo::NodeId, bdd::Bdd>& ports) {
+void WritePortMap(util::WireWriter& out,
+                  const std::unordered_map<topo::NodeId, bdd::Bdd>& ports) {
   std::vector<topo::NodeId> ids;
   ids.reserve(ports.size());
   for (const auto& [id, f] : ports) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
-  cp::PutWireU32(out, static_cast<uint32_t>(ids.size()));
+  out.U32(static_cast<uint32_t>(ids.size()));
   for (topo::NodeId id : ids) {
-    cp::PutWireU32(out, id);
-    PutBddSection(out, ports.at(id));
+    out.U32(id);
+    out.Blob(bdd::Serialize(ports.at(id)));
   }
 }
 
-std::unordered_map<topo::NodeId, bdd::Bdd> GetPortMap(
-    bdd::Manager& manager, const std::vector<uint8_t>& bytes, size_t& pos) {
+std::unordered_map<topo::NodeId, bdd::Bdd> ReadPortMap(bdd::Manager& manager,
+                                                       util::WireReader& in) {
   std::unordered_map<topo::NodeId, bdd::Bdd> ports;
-  uint32_t count = cp::GetWireU32(bytes, pos);
   // Each entry is at least an id plus an empty BDD section (two u32s).
-  if (count > (bytes.size() - pos) / 8) {
-    throw util::WireFormatError("port map count exceeds checkpoint bytes");
-  }
-  for (uint32_t i = 0; i < count; ++i) {
-    topo::NodeId id = cp::GetWireU32(bytes, pos);
-    ports.emplace(id, GetBddSection(manager, bytes, pos));
+  const size_t count = in.Count(8);
+  for (size_t i = 0; i < count; ++i) {
+    topo::NodeId id = in.U32();
+    ports.emplace(id, bdd::DeserializeInto(manager, in.BlobView()));
   }
   return ports;
 }
@@ -68,89 +48,55 @@ size_t WorkerCheckpoint::TotalBytes() const {
 
 std::vector<uint8_t> SerializePredicates(const dp::NodePredicates& preds) {
   std::vector<uint8_t> out;
-  PutBddSection(out, preds.arrive);
-  PutBddSection(out, preds.exit);
-  PutBddSection(out, preds.discard);
-  PutPortMap(out, preds.forward);
-  PutPortMap(out, preds.acl_in);
-  PutPortMap(out, preds.acl_out);
+  util::WireWriter w(out);
+  w.Blob(bdd::Serialize(preds.arrive));
+  w.Blob(bdd::Serialize(preds.exit));
+  w.Blob(bdd::Serialize(preds.discard));
+  WritePortMap(w, preds.forward);
+  WritePortMap(w, preds.acl_in);
+  WritePortMap(w, preds.acl_out);
   return out;
 }
 
 dp::NodePredicates DeserializePredicates(bdd::Manager& manager,
-                                         const std::vector<uint8_t>& bytes) {
+                                         std::span<const uint8_t> bytes) {
+  util::WireReader in(bytes);
   dp::NodePredicates preds;
-  size_t pos = 0;
-  preds.arrive = GetBddSection(manager, bytes, pos);
-  preds.exit = GetBddSection(manager, bytes, pos);
-  preds.discard = GetBddSection(manager, bytes, pos);
-  preds.forward = GetPortMap(manager, bytes, pos);
-  preds.acl_in = GetPortMap(manager, bytes, pos);
-  preds.acl_out = GetPortMap(manager, bytes, pos);
+  preds.arrive = bdd::DeserializeInto(manager, in.BlobView());
+  preds.exit = bdd::DeserializeInto(manager, in.BlobView());
+  preds.discard = bdd::DeserializeInto(manager, in.BlobView());
+  preds.forward = ReadPortMap(manager, in);
+  preds.acl_in = ReadPortMap(manager, in);
+  preds.acl_out = ReadPortMap(manager, in);
   return preds;
 }
 
-namespace {
-
-void PutNodeBlobMap(std::vector<uint8_t>& out,
-                    const std::map<topo::NodeId, std::vector<uint8_t>>& m) {
-  cp::PutWireU32(out, static_cast<uint32_t>(m.size()));
-  for (const auto& [node, blob] : m) {
-    cp::PutWireU32(out, node);
-    cp::PutWireU32(out, static_cast<uint32_t>(blob.size()));
-    out.insert(out.end(), blob.begin(), blob.end());
-  }
-}
-
-std::map<topo::NodeId, std::vector<uint8_t>> GetNodeBlobMap(
-    const std::vector<uint8_t>& bytes, size_t& pos) {
-  std::map<topo::NodeId, std::vector<uint8_t>> m;
-  uint32_t count = cp::GetWireU32(bytes, pos);
-  // Each entry is at least a node id plus a length (two u32s).
-  if (count > (bytes.size() - pos) / 8) {
-    throw util::WireFormatError("blob map count exceeds checkpoint bytes");
-  }
-  for (uint32_t i = 0; i < count; ++i) {
-    topo::NodeId node = cp::GetWireU32(bytes, pos);
-    uint32_t len = cp::GetWireU32(bytes, pos);
-    if (len > bytes.size() - pos) {
-      throw util::WireFormatError("blob length exceeds checkpoint bytes");
-    }
-    m[node].assign(bytes.data() + pos, bytes.data() + pos + len);
-    pos += len;
-  }
-  return m;
-}
-
-}  // namespace
-
 std::vector<uint8_t> EncodeWorkerCheckpoint(const WorkerCheckpoint& ckpt) {
   std::vector<uint8_t> out;
-  cp::PutWireU32(out, static_cast<uint32_t>(ckpt.shard));
-  cp::PutWireU32(out, static_cast<uint32_t>(ckpt.fabric_round));
-  PutNodeBlobMap(out, ckpt.node_state);
-  cp::PutWireU32(out, ckpt.has_data_plane ? 1u : 0u);
-  PutNodeBlobMap(out, ckpt.predicate_state);
-  cp::PutWireU64(out, ckpt.fib_bytes);
+  util::WireWriter w(out);
+  w.U32(static_cast<uint32_t>(ckpt.shard));
+  w.U32(static_cast<uint32_t>(ckpt.fabric_round));
+  w.BlobMap(ckpt.node_state);
+  w.U32(ckpt.has_data_plane ? 1u : 0u);
+  w.BlobMap(ckpt.predicate_state);
+  w.U64(ckpt.fib_bytes);
   return out;
 }
 
-WorkerCheckpoint DecodeWorkerCheckpoint(const std::vector<uint8_t>& bytes) {
+WorkerCheckpoint DecodeWorkerCheckpoint(std::span<const uint8_t> bytes) {
+  util::WireReader in(bytes);
   WorkerCheckpoint ckpt;
-  size_t pos = 0;
-  ckpt.shard = static_cast<int32_t>(cp::GetWireU32(bytes, pos));
-  ckpt.fabric_round = static_cast<int32_t>(cp::GetWireU32(bytes, pos));
-  ckpt.node_state = GetNodeBlobMap(bytes, pos);
-  uint32_t dp_flag = cp::GetWireU32(bytes, pos);
+  ckpt.shard = static_cast<int32_t>(in.U32());
+  ckpt.fabric_round = static_cast<int32_t>(in.U32());
+  ckpt.node_state = in.BlobMap();
+  uint32_t dp_flag = in.U32();
   if (dp_flag > 1) {
     throw util::WireFormatError("checkpoint data-plane flag out of range");
   }
   ckpt.has_data_plane = dp_flag == 1;
-  ckpt.predicate_state = GetNodeBlobMap(bytes, pos);
-  ckpt.fib_bytes = cp::GetWireU64(bytes, pos);
-  if (pos != bytes.size()) {
-    throw util::WireFormatError("trailing bytes after checkpoint");
-  }
+  ckpt.predicate_state = in.BlobMap();
+  ckpt.fib_bytes = in.U64();
+  in.ExpectEnd("checkpoint");
   return ckpt;
 }
 

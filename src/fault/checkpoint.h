@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "dp/predicates.h"
@@ -44,7 +45,7 @@ struct WorkerCheckpoint {
 // mean equal forwarding semantics — tests use this as the FIB hash.
 std::vector<uint8_t> SerializePredicates(const dp::NodePredicates& preds);
 dp::NodePredicates DeserializePredicates(bdd::Manager& manager,
-                                         const std::vector<uint8_t>& bytes);
+                                         std::span<const uint8_t> bytes);
 
 // Whole-checkpoint wire codec, used by the multi-process worker harness to
 // ship checkpoints across the control channel (worker -> controller at
@@ -53,6 +54,6 @@ dp::NodePredicates DeserializePredicates(bdd::Manager& manager,
 // remaining bytes, or an out-of-range has_data_plane flag — it never
 // trusts a length enough to allocate past the input.
 std::vector<uint8_t> EncodeWorkerCheckpoint(const WorkerCheckpoint& ckpt);
-WorkerCheckpoint DecodeWorkerCheckpoint(const std::vector<uint8_t>& bytes);
+WorkerCheckpoint DecodeWorkerCheckpoint(std::span<const uint8_t> bytes);
 
 }  // namespace s2::fault

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "cp/route.h"
 #include "util/status.h"
+#include "util/wire.h"
 
 namespace s2::fault {
 
@@ -15,58 +15,36 @@ namespace {
 // their rolls independent of the data frames on the reverse channel.
 constexpr uint64_t kAckSeqBase = uint64_t{1} << 63;
 
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  cp::PutWireU32(out, static_cast<uint32_t>(v));
-  cp::PutWireU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint64_t GetU64(const std::vector<uint8_t>& in, size_t& pos) {
-  uint64_t lo = cp::GetWireU32(in, pos);
-  uint64_t hi = cp::GetWireU32(in, pos);
-  return lo | (hi << 32);
-}
-
 }  // namespace
 
 std::vector<uint8_t> EncodeCarrierFrame(const CarrierFrame& frame) {
   std::vector<uint8_t> out;
-  out.push_back(frame.kind);
-  cp::PutWireU32(out, frame.from);
-  cp::PutWireU32(out, frame.to);
-  PutU64(out, frame.seq);
-  cp::PutWireU32(out, static_cast<uint32_t>(frame.ready_round));
-  out.push_back(frame.demoted ? 1 : 0);
-  out.push_back(frame.has_payload ? 1 : 0);
+  util::WireWriter w(out);
+  w.U8(frame.kind);
+  w.U32(frame.from);
+  w.U32(frame.to);
+  w.U64(frame.seq);
+  w.U32(static_cast<uint32_t>(frame.ready_round));
+  w.Bool(frame.demoted);
+  w.Bool(frame.has_payload);
   if (frame.has_payload) dist::EncodeMessage(frame.payload, out);
   return out;
 }
 
-CarrierFrame DecodeCarrierFrame(const std::vector<uint8_t>& bytes) {
+CarrierFrame DecodeCarrierFrame(std::span<const uint8_t> bytes) {
+  util::WireReader in(bytes);
   CarrierFrame frame;
-  size_t pos = 0;
-  if (bytes.size() < 23) {
-    throw util::WireFormatError("carrier frame of " +
-                                std::to_string(bytes.size()) +
-                                " bytes is shorter than its header");
-  }
-  frame.kind = bytes[pos++];
-  if (frame.kind > 1) {
-    throw util::WireFormatError("unknown carrier frame kind " +
-                                std::to_string(frame.kind));
-  }
-  frame.from = cp::GetWireU32(bytes, pos);
-  frame.to = cp::GetWireU32(bytes, pos);
-  frame.seq = GetU64(bytes, pos);
-  frame.ready_round = static_cast<int>(cp::GetWireU32(bytes, pos));
-  frame.demoted = bytes[pos++] != 0;
-  frame.has_payload = bytes[pos++] != 0;
+  frame.kind = in.Enum<uint8_t>(1);
+  frame.from = in.U32();
+  frame.to = in.U32();
+  frame.seq = in.U64();
+  frame.ready_round = static_cast<int>(in.U32());
+  frame.demoted = in.U8() != 0;
+  frame.has_payload = in.U8() != 0;
   if (frame.has_payload) {
-    frame.payload = dist::DecodeMessage(
-        std::vector<uint8_t>(bytes.begin() + static_cast<ptrdiff_t>(pos),
-                             bytes.end()));
-  } else if (pos != bytes.size()) {
-    throw util::WireFormatError("trailing bytes after carrier frame");
+    frame.payload = dist::DecodeMessage(in.Bytes(in.remaining()));
   }
+  in.ExpectEnd("carrier frame");
   return frame;
 }
 

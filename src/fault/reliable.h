@@ -27,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dist/message.h"
@@ -57,7 +58,7 @@ struct CarrierFrame {
 
 std::vector<uint8_t> EncodeCarrierFrame(const CarrierFrame& frame);
 // Throws util::WireFormatError on truncated or malformed bytes.
-CarrierFrame DecodeCarrierFrame(const std::vector<uint8_t>& bytes);
+CarrierFrame DecodeCarrierFrame(std::span<const uint8_t> bytes);
 
 class ReliableTransport {
  public:

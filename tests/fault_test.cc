@@ -11,6 +11,7 @@
 #include "fault/checkpoint.h"
 #include "fault/injector.h"
 #include "fault/reliable.h"
+#include "util/wire.h"
 
 namespace s2::fault {
 namespace {
@@ -312,10 +313,10 @@ TEST(CheckpointTest, RibStateRoundTripsExactly) {
   std::vector<uint8_t> bytes = SnapshotRib(rib);
 
   cp::Rib restored(nullptr);
-  size_t pos = 0;
-  cp::AttrTable table = cp::AttrTable::Read(bytes, pos, TestPool());
-  restored.RestoreState(bytes, pos, table);
-  EXPECT_EQ(pos, bytes.size());
+  util::WireReader in(bytes);
+  cp::AttrTable table = cp::AttrTable::Read(in, TestPool());
+  restored.RestoreState(in, table);
+  EXPECT_EQ(in.remaining(), 0u);
   EXPECT_EQ(restored.candidates(), rib.candidates());
   EXPECT_EQ(restored.all_best(), rib.all_best());
   EXPECT_EQ(restored.candidate_count(), rib.candidate_count());
@@ -341,21 +342,22 @@ TEST(CheckpointTest, RoutesSectionEmbedsInCompositeBuffers) {
   // interleaved after it.
   cp::AttrTableBuilder builder;
   std::vector<uint8_t> body;
-  cp::PutWireU32(body, 7);  // leading field
+  util::WireWriter w(body);
+  w.U32(7);  // leading field
   cp::PutRoutesSection(body, updates, builder);
-  cp::PutWireU32(body, 9);  // trailing field survives the section read
+  w.U32(9);  // trailing field survives the section read
   std::vector<uint8_t> out;
   builder.Serialize(out);
   out.insert(out.end(), body.begin(), body.end());
-  size_t pos = 0;
-  cp::AttrTable table = cp::AttrTable::Read(out, pos, TestPool());
-  EXPECT_EQ(cp::GetWireU32(out, pos), 7u);
-  auto round_trip = cp::GetRoutesSection(out, pos, table);
+  util::WireReader in(out);
+  cp::AttrTable table = cp::AttrTable::Read(in, TestPool());
+  EXPECT_EQ(in.U32(), 7u);
+  auto round_trip = cp::GetRoutesSection(in, table);
   ASSERT_EQ(round_trip.size(), 2u);
   EXPECT_EQ(round_trip[0].route, updates[0].route);
   EXPECT_TRUE(round_trip[1].withdraw);
-  EXPECT_EQ(cp::GetWireU32(out, pos), 9u);
-  EXPECT_EQ(pos, out.size());
+  EXPECT_EQ(in.U32(), 9u);
+  in.ExpectEnd("composite buffer");
 }
 
 TEST(CheckpointTest, PredicatesRoundTripAcrossManagers) {

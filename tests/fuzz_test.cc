@@ -15,12 +15,14 @@
 #include "bdd/bdd_io.h"
 #include "core/mono.h"
 #include "core/s2.h"
+#include "cp/node.h"
 #include "cp/route.h"
 #include "dist/message.h"
 #include "dist/process.h"
 #include "dp/forwarding.h"
 #include "fault/checkpoint.h"
 #include "test_networks.h"
+#include "util/memory_tracker.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -1014,6 +1016,61 @@ TEST(WireFuzzTest, EveryTruncatedAuxProcessPayloadErrors) {
                  util::WireFormatError)
         << "oom prefix of " << len << " bytes";
   }
+}
+
+// Enum bytes inside route batches and node checkpoints: a protocol byte
+// above kOspf would decode into a route with admin distance 255, and a
+// pass byte above kBgp into a node in no pass at all. Both must be
+// rejected, like the control-frame enums above; so must trailing bytes
+// after a node checkpoint.
+TEST(WireFuzzTest, OutOfRangeRouteAndNodeEnumBytesError) {
+  cp::AttrPool pool;
+  cp::Route r;
+  r.prefix = util::MustParsePrefix("10.1.0.0/16");
+  r.protocol = cp::Protocol::kOspf;
+  std::vector<uint8_t> batch;
+  cp::SerializeRoutes({cp::RouteUpdate{r.prefix, false, r}}, batch);
+  // The protocol byte leads the 17-byte tail of the only announcement:
+  // protocol, metric, origin node, learned-from, attr index.
+  const size_t protocol_at = batch.size() - 17;
+  ASSERT_EQ(batch[protocol_at], static_cast<uint8_t>(cp::Protocol::kOspf));
+  for (int v = 0; v < 256; ++v) {
+    std::vector<uint8_t> corrupt = batch;
+    corrupt[protocol_at] = static_cast<uint8_t>(v);
+    if (v <= static_cast<int>(cp::Protocol::kOspf)) {
+      EXPECT_EQ(cp::DeserializeRoutes(corrupt, pool)[0].route.protocol,
+                static_cast<cp::Protocol>(v));
+      continue;
+    }
+    EXPECT_THROW(cp::DeserializeRoutes(corrupt, pool), util::WireFormatError)
+        << "protocol byte " << v;
+  }
+
+  // Node checkpoint: table, then the pass byte, then the RIB sections.
+  config::ParsedNetwork network = testing::Parse(testing::MakeChain(1));
+  util::MemoryTracker tracker("fuzz", 0);
+  cp::Node source(0, network, &tracker, &pool);
+  std::vector<uint8_t> state;
+  source.SerializeState(state);
+  std::vector<uint8_t> table;
+  cp::AttrTableBuilder().Serialize(table);  // the empty table
+  ASSERT_EQ(state[table.size()],
+            static_cast<uint8_t>(cp::Node::Pass::kIdle));
+  for (int v = 0; v < 256; ++v) {
+    std::vector<uint8_t> corrupt = state;
+    corrupt[table.size()] = static_cast<uint8_t>(v);
+    cp::Node node(0, network, &tracker, &pool);
+    if (v <= static_cast<int>(cp::Node::Pass::kBgp)) {
+      EXPECT_NO_THROW(node.RestoreState(corrupt, nullptr)) << "pass " << v;
+      continue;
+    }
+    EXPECT_THROW(node.RestoreState(corrupt, nullptr), util::WireFormatError)
+        << "pass byte " << v;
+  }
+  std::vector<uint8_t> padded = state;
+  padded.push_back(0);
+  cp::Node node(0, network, &tracker, &pool);
+  EXPECT_THROW(node.RestoreState(padded, nullptr), util::WireFormatError);
 }
 
 }  // namespace
